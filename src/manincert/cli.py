@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .certify import (
@@ -166,13 +164,7 @@ def run_census(args, catalog: Catalog, fmt: str) -> int:
     if bound < 0:
         raise UsageError("--max-conductor must be >= 0")
     entries = catalog.fetch_range(bound) if bound >= 1 else []
-    entries = [e for e in entries if e.optimality_flag]
-    if args.workers > 1 and entries:
-        # work unit = isogeny class; results merged in label order
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(record_from_entry, entries, chunksize=16))
-    else:
-        records = [record_from_entry(e) for e in entries]
+    records = [record_from_entry(e) for e in entries if e.optimality_flag]
     report = census(bound, records, coverage_check=coverage_check,
                     provenance=fixture_manifest()["optimality_convention"])
     _emit(_census_payload(report), fmt)
@@ -247,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="allow the remote catalog endpoint")
     ap.add_argument("--cache", default=None, help="catalog cache path (JSONL)")
     ap.add_argument("--format", choices=("table", "json"), default="table")
-    ap.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
     ap.add_argument("--level-ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
                     help="largest level accepted by analyze")
     sub = ap.add_subparsers(dest="command", required=True)

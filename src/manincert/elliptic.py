@@ -25,16 +25,21 @@ class MatchingError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
+    """A model with rational coefficients; integral ones are held as ints,
+    so their invariants are computed in int arithmetic."""
+
+    a1: Fraction | int
+    a2: Fraction | int
+    a3: Fraction | int
+    a4: Fraction | int
+    a6: Fraction | int
 
     @staticmethod
     def from_ainvs(ainvs) -> "WeierstrassModel":
-        a1, a2, a3, a4, a6 = (Fraction(x) for x in ainvs)
-        return WeierstrassModel(a1, a2, a3, a4, a6)
+        vals = [Fraction(x) for x in ainvs]
+        if all(v.denominator == 1 for v in vals):
+            vals = [v.numerator for v in vals]
+        return WeierstrassModel(*vals)
 
     def b_invariants(self):
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6

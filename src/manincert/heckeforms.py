@@ -10,11 +10,13 @@ off against T_1..T_B gives a Z-basis of integer q-expansions.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .intlattice import (
     IntMatrix,
     Lattice,
+    RowSolver,
     hnf,
     kernel,
     lattice_from_rows,
@@ -37,6 +39,11 @@ from .modsym import (
 
 class PrecisionError(ValueError):
     """Requested q-expansion precision below the Sturm bound."""
+
+
+class ComplementRankError(RuntimeError):
+    """The Hecke complement did not reach its certified rank by the Sturm
+    bound: this signals a bug in the Hecke operators, not bad input."""
 
 
 def sturm_bound(N: int) -> int:
@@ -185,13 +192,13 @@ class HeckeAlgebra:
         self.sturm = b0
         self.precision = max(precision or 0, b0)
         self._probe_vectors: list[dict[int, int]] = []
+        self._h: IntMatrix | None = None  # HNF of the probe rows of T
+        self._h_solver: RowSolver | None = None
         self._build(self.precision)
 
     def _cuspidal_sections(self, count: int) -> list[dict[int, int]]:
         """Formal-symbol lifts of the first `count` cuspidal basis vectors."""
         space = self.space
-        from .intlattice import RowSolver
-
         solver = getattr(self, "_section_solver", None)
         if solver is None:
             solver = RowSolver(space.coords.transpose())
@@ -205,16 +212,18 @@ class HeckeAlgebra:
 
     def _probe_of(self, n: int) -> list[int]:
         space = self.space
-        p1 = space.p1
+        N = self.level
+        pairs = space.p1.pairs
+        table = space.p1_index_table()
         mats = list(merel_matrices(n))
         row: list[int] = []
         for vec in self._probe_vectors:
             combo: dict[int, int] = {}
             for j, coef in vec.items():
-                c, d = p1.pairs[j]
+                c, d = pairs[j]
                 for a, b, cc, dd in mats:
-                    idx = p1.index(c * a + d * cc, c * b + d * dd)
-                    if idx is not None:
+                    idx = table[(c * a + d * cc) % N][(c * b + d * dd) % N]
+                    if idx >= 0:
                         combo[idx] = combo.get(idx, 0) + coef
             row.extend(space._class_of(combo))
         return row
@@ -237,7 +246,7 @@ class HeckeAlgebra:
             if nvec >= self.space.cuspidal_basis.rows:
                 raise AssertionError(f"probe map not faithful at level {self.level}")
             nvec = min(2 * nvec, self.space.cuspidal_basis.rows)
-        if getattr(self, "_h", None) is not None:
+        if self._h is not None:
             # rebuilds at higher precision must keep the same coordinates:
             # the probe row lattice is already complete at the Sturm bound
             assert h == self._h, "Hecke-algebra basis changed under extension"
@@ -275,34 +284,30 @@ class HeckeAlgebra:
         return list(sol.entries[0])
 
     def hecke_matrix_on_dual(self, p: int) -> IntMatrix:
-        """Matrix of T_p on column coordinate vectors of the S_2(Z) lattice."""
-        g = self.genus
-        need = p * self.sturm
-        self.extend_precision(max(self.precision, need))
-        N = self.level
-        base = self.basis_coeffs
+        """Matrix of T_p on column coordinate vectors of the S_2(Z) lattice.
+
+        T_p acts on S_2(Z) = Hom(T, Z) by precomposition with multiplication
+        by T_p on T, so this is the matrix M with T_p t_j = sum_k M[j][k] t_k
+        for the basis t_j of T whose probes are the rows of _h.  T is
+        commutative, so the probe of T_p t_j is the probe of t_j with T_p
+        applied to each symbol class in it: the coordinate Hecke matrix acts
+        on each rank-wide block.  No q-expansion coefficient past the Sturm
+        bound is needed.
+        """
+        a = self.space.hecke_on_coords(p).entries
+        k = self.space.rank
+        if self._h_solver is None:
+            self._h_solver = RowSolver(self._h)
         rows = []
-        for i in range(g):
-            coeff = base.entries[i]
-
-            def a(n: int) -> int:
-                return coeff[n - 1]
-
-            img = []
-            for n in range(1, self.sturm + 1):
-                v = a(p * n)
-                if N % p == 0:
-                    img.append(v)
-                else:
-                    img.append(v + (p * a(n // p) if n % p == 0 else 0))
-            rows.append(img)
-        sol = solve_in_rowspace(
-            IntMatrix.from_rows([row[: self.sturm] for row in base.entries]),
-            IntMatrix.from_rows(rows),
-            integral=True,
-        )
-        assert sol is not None, "Hecke image left the integral lattice"
-        return sol.transpose()
+        for probe in self._h.entries:
+            img: list[int] = []
+            for s in range(0, len(probe), k):
+                block = probe[s:s + k]
+                img.extend(sum(x * y for x, y in zip(arow, block)) for arow in a)
+            sol = self._h_solver.solve(img, integral=True)
+            assert sol is not None, "T_p times the Hecke algebra left the algebra"
+            rows.append(sol)
+        return IntMatrix.from_rows(rows)
 
 
 _ALGEBRAS: dict[int, HeckeAlgebra] = {}
@@ -321,37 +326,43 @@ def integral_cusp_basis(N: int, B: int) -> IntegralCuspBasis:
     return IntegralCuspBasis(N, B, alg.coefficient_basis(B))
 
 
-def stabilized_image_rows(op: IntMatrix, ambient: int) -> IntMatrix:
-    """Row basis of im(op^k) for k past stabilization (op on column vectors)."""
-    cur = hnf(op.transpose())
-    while cur.rows:
-        nxt = hnf(cur * op.transpose())
-        if nxt.rows == cur.rows:
-            return cur
-        cur = nxt
-    return cur
+def hecke_complement_rows(hecke: Callable[[int], IntMatrix], f: RationalNewform,
+                          target: int) -> IntMatrix:
+    """Row span of the Hecke complement of f in a Hecke-stable lattice.
+
+    `hecke(p)` is the matrix of T_p on column coordinate vectors of the
+    lattice, and `target` the rank of the complement (the lattice rank less
+    the rank of f's isotypic part).  The span is accumulated as the sum over
+    primes p up to the Sturm bound of the stabilized images im((T_p - a_p)^k)
+    until the rank certificate `target` holds; a Sturm-bound separation
+    argument makes the partial sum exact once it does.
+    """
+    rows = IntMatrix.from_rows([])
+    if target == 0:
+        return rows
+    for p in primes_up_to(max(sturm_bound(f.level), 2)):
+        t = hecke(p)
+        op_t = (t - IntMatrix.identity(t.rows).scale(f.prime_eigenvalue(p))).transpose()
+        im = hnf(op_t)  # im(op^k) for k past stabilization
+        while im.rows:
+            nxt = hnf(im * op_t)
+            if nxt.rows == im.rows:
+                break
+            im = nxt
+        rows = hnf(stack(rows, im)) if rows.rows else im
+        if rows.rows == target:
+            return rows
+        assert rows.rows < t.rows, "complement overflow"
+    raise ComplementRankError(
+        f"Hecke complement has rank {rows.rows}, expected {target} "
+        f"(level {f.level})"
+    )
 
 
 def isotypic_complement_on_dual(alg: HeckeAlgebra, f: RationalNewform) -> IntMatrix:
     """Row span of the Hecke complement of Q.f inside S_2 tensor Q, in dual
-    coordinates: sum over p of stabilized im(T_p - a_p) until the rank g-1 is
-    reached (a Sturm-bound separation argument makes the partial sum exact
-    once the rank certificate holds)."""
-    g = alg.genus
-    rows = IntMatrix.from_rows([])
-    if g == 1:
-        return rows
-    for p in primes_up_to(max(alg.sturm, 2)):
-        ap = f.prime_eigenvalue(p)
-        op = alg.hecke_matrix_on_dual(p) - IntMatrix.identity(g).scale(ap)
-        rows = hnf(stack(rows, stabilized_image_rows(op, g))) if rows.rows else \
-            stabilized_image_rows(op, g)
-        if rows.rows == g - 1:
-            return rows
-        assert rows.rows < g, "complement overflow"
-    raise AssertionError(
-        f"Hecke complement of rank {rows.rows} != {g - 1} at level {alg.level}"
-    )
+    coordinates."""
+    return hecke_complement_rows(alg.hecke_matrix_on_dual, f, alg.genus - 1)
 
 
 def congruence_number(N: int, f: RationalNewform) -> int:

@@ -311,33 +311,48 @@ def snf_diagonal(m: IntMatrix) -> list[int]:
     return [d.entries[i][i] for i in range(min(d.rows, d.cols))]
 
 
+def _solve_rows(h, u, pivots, target, integral: bool):
+    """x with x * basis = target, given U * basis = H in row HNF, or None.
+
+    The coefficient of H's i-th row is fixed by the target's entry at that
+    row's pivot, since later rows vanish there.  With integral=True the whole
+    solve is in ints and a nonzero remainder at a pivot means no integer
+    solution; with integral=False the coefficients are Fractions."""
+    he, ue = h.entries, u.entries
+    ncols = h.cols
+    rem = list(target) if integral else [Fraction(x) for x in target]
+    c = []
+    for i, pc in enumerate(pivots):
+        x = rem[pc]
+        if integral:
+            q, r = divmod(x, he[i][pc])
+            if r:
+                return None
+        else:
+            q = x / he[i][pc]
+        c.append(q)
+        if q:
+            hi = he[i]
+            for j in range(pc, ncols):
+                rem[j] -= q * hi[j]
+    if any(rem):
+        return None
+    # coefficients are w.r.t. rows of H; convert back through U
+    live = [i for i, q in enumerate(c) if q]
+    return [sum(c[i] * ue[i][j] for i in live) for j in range(u.cols)]
+
+
 def solve_in_rowspace(basis: IntMatrix, targets: IntMatrix, integral: bool = True):
     """Return C with C * basis = targets, or None if some target row is
     outside the row span.  With integral=True the coefficients must be
-    integers (None otherwise); with integral=False Fractions are allowed."""
+    integers (None otherwise) and C is an IntMatrix; with integral=False
+    Fractions are allowed and C is a list of rows."""
     h, u, pivots = hnf_with_transform(basis)
-    rk = len(pivots)
-    coeffs = []
-    for t in targets.entries:
-        rem = [Fraction(x) for x in t]
-        c = [Fraction(0)] * basis.rows
-        for i, pc in enumerate(pivots):
-            if rem[pc]:
-                q = rem[pc] / h.entries[i][pc]
-                if integral and q.denominator != 1:
-                    return None
-                c[i] = q
-                for j in range(basis.cols):
-                    rem[j] -= q * h.entries[i][j]
-        if any(rem):
-            return None
-        coeffs.append(c)
-    # coefficients are w.r.t. rows of H; convert back through U
     out = []
-    for c in coeffs:
-        row = [sum(c[i] * u.entries[i][j] for i in range(rk)) for j in range(basis.rows)]
-        if integral:
-            row = [int(x) for x in row]
+    for t in targets.entries:
+        row = _solve_rows(h, u, pivots, t, integral)
+        if row is None:
+            return None
         out.append(row)
     if integral:
         return IntMatrix.from_rows(out, basis.rows if targets.rows else None)
@@ -352,24 +367,7 @@ class RowSolver:
         self.h, self.u, self.pivots = hnf_with_transform(basis)
 
     def solve(self, target_row, integral: bool = True):
-        rem = [Fraction(x) for x in target_row]
-        c = [Fraction(0)] * self.basis.rows
-        for i, pc in enumerate(self.pivots):
-            if rem[pc]:
-                q = rem[pc] / self.h.entries[i][pc]
-                if integral and q.denominator != 1:
-                    return None
-                c[i] = q
-                for j in range(self.basis.cols):
-                    rem[j] -= q * self.h.entries[i][j]
-        if any(rem):
-            return None
-        rk = len(self.pivots)
-        row = [sum(c[i] * self.u.entries[i][j] for i in range(rk))
-               for j in range(self.basis.rows)]
-        if integral:
-            return [int(x) for x in row]
-        return row
+        return _solve_rows(self.h, self.u, self.pivots, target_row, integral)
 
 
 @dataclass(frozen=True)
@@ -433,15 +431,14 @@ def quotient_order(sup: Lattice, sub: Lattice):
         raise LatticeError("ambient rank mismatch")
     if sub.rank == 0:
         return 1 if sup.rank == 0 else INFINITE
-    c = solve_in_rowspace(sup.basis, sub.basis, integral=False)
+    c = solve_in_rowspace(sup.basis, sub.basis, integral=True)
     if c is None:
-        raise LatticeError("sub lattice is not contained in the span of sup")
-    if any(x.denominator != 1 for row in c for x in row):
+        if solve_in_rowspace(sup.basis, sub.basis, integral=False) is None:
+            raise LatticeError("sub lattice is not contained in the span of sup")
         raise LatticeError("sub lattice is not contained in sup")
     if sub.rank < sup.rank:
         return INFINITE
-    mat = IntMatrix.from_rows([[int(x) for x in row] for row in c])
-    return abs(det(mat))
+    return abs(det(c))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:

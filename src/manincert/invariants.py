@@ -11,20 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .heckeforms import RationalNewform, sturm_bound
+from .heckeforms import RationalNewform, hecke_complement_rows
 from .intlattice import (
-    IntMatrix,
-    hnf,
     kernel,
     lattice_sum,
     quotient_order,
     saturate,
     snf_diagonal,
-    stack,
     standard_lattice,
     subspace_integer_points,
 )
-from .modsym import ModSymSpace, factorize, primes_up_to
+from .modsym import ModSymSpace, factorize
 
 
 class DegreeConsistencyError(RuntimeError):
@@ -45,44 +42,11 @@ class DegreeResult:
     index_used: int
 
 
-def _stabilized_image_rows(op: IntMatrix) -> IntMatrix:
-    cur = hnf(op.transpose())
-    while cur.rows:
-        nxt = hnf(cur * op.transpose())
-        if nxt.rows == cur.rows:
-            return cur
-        cur = nxt
-    return cur
-
-
-def hecke_complement_rows(space: ModSymSpace, f: RationalNewform) -> IntMatrix:
-    """Row span of the Hecke complement of V_f in the cuspidal homology,
-    accumulated as sum_p im(T_p - a_p) (stabilized powers) until the rank
-    certificate 2g - 2 holds."""
-    n = space.cuspidal_basis.rows
-    target = n - 2
-    rows = IntMatrix.from_rows([])
-    if target == 0:
-        return rows
-    for p in primes_up_to(max(sturm_bound(space.level), 2)):
-        ap = f.prime_eigenvalue(p)
-        op = space.hecke_on_cuspidal(p) - IntMatrix.identity(n).scale(ap)
-        im = _stabilized_image_rows(op)
-        rows = hnf(stack(rows, im)) if rows.rows else im
-        if rows.rows == target:
-            return rows
-        assert rows.rows < n, "complement overflow"
-    raise DegreeConsistencyError(
-        f"Hecke complement has rank {rows.rows}, expected {target} "
-        f"(level {space.level})"
-    )
-
-
 def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
     n = space.cuspidal_basis.rows
     lf = f.eigenspace
     assert lf.rank == 2 and saturate(lf) == lf
-    comp = hecke_complement_rows(space, f)
+    comp = hecke_complement_rows(space.hecke_on_cuspidal, f, n - 2)
     lperp = subspace_integer_points(n, comp.entries)
     total = lattice_sum(lf, lperp)
     if total.rank != n:

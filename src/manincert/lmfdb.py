@@ -9,16 +9,12 @@ optimality designation it records is stamped into census output.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 import tempfile
 import time
-import urllib.request
 from dataclasses import dataclass, asdict
 from importlib import resources
-
-log = logging.getLogger(__name__)
 
 LABEL_RE = re.compile(r"^(\d+)\.([a-z]+)(\d+)$")
 ENDPOINT_ENV = "MANINCERT_CATALOG_URL"
@@ -131,8 +127,10 @@ def read_cache(path: str) -> dict[str, CatalogEntry]:
             try:
                 e = CatalogEntry.from_json(line)
             except (ValueError, TypeError, KeyError) as exc:
-                log.warning("skipping corrupt cache line %d in %s: %s",
-                            i, path, exc)
+                import logging  # only here, to keep it off the import path
+
+                logging.getLogger(__name__).warning(
+                    "skipping corrupt cache line %d in %s: %s", i, path, exc)
                 continue
             out[e.label] = e  # last write wins
     return out
@@ -177,6 +175,7 @@ class Catalog:
     def _remote_lines(self, query: str) -> list[str]:
         if self.offline or not self.endpoint:
             raise CatalogUnavailableError("remote access disabled or unset")
+        import urllib.request  # only here: certify and census never go online
         wait = self.rate_limit - (time.monotonic() - self._last_request)
         if wait > 0:
             time.sleep(wait)

@@ -12,7 +12,6 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .intlattice import (
@@ -946,12 +945,9 @@ class ModSymSpace:
                 return
             p = plist[pidx]
             big = self.hecke_on_cuspidal(p)
-            r_t = solve_in_rowspace(basis, basis * big.transpose(), integral=False)
-            assert r_t is not None
-            rt_m = IntMatrix.from_rows(
-                [[_as_int(x) for x in row] for row in r_t]
-            )
-            restricted = rt_m.transpose()
+            r_t = solve_in_rowspace(basis, basis * big.transpose(), integral=True)
+            assert r_t is not None, "T_p does not preserve the lattice"
+            restricted = r_t.transpose()
             for lam in _eigenvalue_candidates(p, self.level):
                 shifted = restricted - IntMatrix.identity(basis.rows).scale(lam)
                 ker = kernel(shifted)
@@ -984,14 +980,6 @@ class ModSymSpace:
             out.append(nf)
         self._newforms = out
         return out
-
-
-def _as_int(x) -> int:
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise AssertionError("expected an integer entry")
-        return int(x)
-    return int(x)
 
 
 def _eigenvalue_candidates(p: int, N: int):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import manincert
 from manincert.cli import main
 
 
@@ -85,11 +90,19 @@ def test_census_coverage_gap(capsys):
     assert code == 5
 
 
-def test_census_workers_deterministic(capsys):
-    _, out1, _ = run(capsys, "--format", "json", "census", "--max-conductor", "60")
-    _, out2, _ = run(capsys, "--format", "json", "--workers", "2", "census",
-                     "--max-conductor", "60")
-    assert out1 == out2
+def test_cli_import_leaves_out_network_and_pools():
+    """`import manincert.cli` pulls in no network or process-pool module.
+    A fresh interpreter, since pytest has imported much of the stdlib."""
+    src = str(Path(manincert.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    heavy = ("urllib.request", "http.client", "ssl", "concurrent.futures",
+             "multiprocessing")
+    code = ("import sys, manincert.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_numeric_11a2(capsys):

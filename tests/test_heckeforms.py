@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from manincert import heckeforms
 from manincert.heckeforms import (
     PrecisionError,
     a_list,
@@ -120,6 +121,36 @@ def test_hecke_stability_of_basis():
                     low, IntMatrix.from_rows([img]), integral=True) is not None
 
 
+def test_hecke_on_dual_matches_q_expansions():
+    """T_p read off the Hecke algebra equals T_p on q-expansions,
+    a_n(T_p f) = a_{pn} + p a_{n/p} (second term only for p not dividing N
+    and p | n), solved back against the Sturm-truncated basis; and r_f needs
+    no coefficient past the Sturm bound."""
+    for n in (33, 54, 57, 64, 66, 70):
+        heckeforms._ALGEBRAS.pop(n, None)
+        for f in build_space(n).rational_eigenspaces():
+            congruence_number(n, f)
+        alg = hecke_algebra(n)
+        assert alg.precision == sturm_bound(n)
+        b0 = alg.sturm
+        wide = integral_cusp_basis(n, 7 * b0).coeff_matrix
+        low = IntMatrix.from_rows([row[:b0] for row in wide.entries])
+        # the raw dual basis behind hecke_matrix_on_dual, in terms of `low`
+        raw = IntMatrix.from_rows([row[:b0] for row in alg.basis_coeffs.entries])
+        v = solve_in_rowspace(low, raw, integral=True)
+        for p in (2, 3, 5, 7):
+            img = []
+            for row in wide.entries:
+                img.append([row[p * k - 1] + (p * row[k // p - 1]
+                                               if k % p == 0 and n % p else 0)
+                            for k in range(1, b0 + 1)])
+            t_low = solve_in_rowspace(low, IntMatrix.from_rows(img), integral=True)
+            assert t_low is not None
+            # T_p(raw) = v T_p(low) = v t_low low, and = dual^T raw = dual^T v low
+            dual = alg.hecke_matrix_on_dual(p)
+            assert v * t_low == dual.transpose() * v
+
+
 def test_newform_vector_is_primitive():
     for n in (11, 26, 37, 54):
         alg = hecke_algebra(n)
@@ -152,10 +183,10 @@ def test_congruence_number_basis_invariance():
     alg = hecke_algebra(n)
     g = alg.genus
     x = alg.newform_coordinates(f)
-    from manincert.heckeforms import isotypic_complement_on_dual
+    from manincert.heckeforms import hecke_complement_rows
     from manincert.intlattice import lattice_sum, subspace_integer_points
 
-    comp = isotypic_complement_on_dual(alg, f)
+    comp = hecke_complement_rows(alg.hecke_matrix_on_dual, f, g - 1)
     base = quotient_order(
         standard_lattice(g),
         lattice_sum(lattice_from_rows(g, [x]),

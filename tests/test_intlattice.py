@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from manincert.intlattice import (
     snf,
     snf_diagonal,
     solve_in_rowspace,
+    stack,
     standard_lattice,
     subspace_integer_points,
     zero_lattice,
@@ -139,9 +141,9 @@ def test_quotient_order_examples():
 
 
 def test_quotient_order_rejects_non_sublattice():
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="not contained in sup"):
         quotient_order(lattice_from_rows(2, [[2, 0], [0, 2]]), standard_lattice(2))
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="span of sup"):
         quotient_order(lattice_from_rows(3, [[1, 0, 0]]), lattice_from_rows(3, [[0, 1, 0]]))
 
 
@@ -208,6 +210,37 @@ def test_solve_in_rowspace_roundtrip():
         got = solve_in_rowspace(b, t, integral=True)
         assert got is not None
         assert got * b == t
+    # Edge cases against the Fraction solve: rank-deficient bases (a combined
+    # row, a zero row), targets outside the span, and targets inside the span
+    # with non-integer coordinates (t combines the rows before they are
+    # scaled by 2 or 3).
+    for _ in range(300):
+        base = rand_matrix(rng, rng.randint(1, 3), 4, 5)
+        t = list((M([[rng.randint(-3, 3) for _ in range(base.rows)]]) * base).entries[0])
+        rows = []
+        for r in base.entries:
+            k = rng.choice((1, 1, 2, 3))
+            rows.append([k * x for x in r])
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        elif kind == 1:
+            rows.append([0] * 4)
+        b = M(rows)
+        if rng.random() < 0.3:
+            t[rng.randrange(4)] += 1  # usually leaves the span
+        ref = solve_in_rowspace(b, M([t]), integral=False)
+        got = solve_in_rowspace(b, M([t]), integral=True)
+        if ref is None:
+            assert got is None
+            assert hnf(stack(b, M([t]))).rows > hnf(b).rows  # really outside
+            continue
+        assert [sum(q * x for q, x in zip(ref[0], col)) for col in zip(*b.entries)] == t
+        if any(Fraction(x).denominator != 1 for x in ref[0]):
+            assert got is None
+        else:
+            assert got is not None and list(got.entries[0]) == ref[0]
+            assert got * b == M([t])
 
 
 def test_subspace_integer_points_is_saturated():
