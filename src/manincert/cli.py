@@ -2,7 +2,8 @@
 census reproduction, numeric Manin checks, and a self-test.
 
 Exit codes: 0 success; 2 usage error; 3 certificate left Partial/Unknown
-entries; 4 curve not optimal; 5 census coverage gap; 6 numeric inconsistency.
+entries; 4 curve not optimal; 5 census coverage gap; 6 numeric inconsistency;
+7 an internal invariant of the exact computation failed (InvariantError).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .elliptic import (
     two_torsion_rank,
 )
 from .heckeforms import congruence_number, sturm_bound
+from .intlattice import InvariantError
 from .invariants import degree_congruence_gap, modular_degree
 from .lmfdb import (
     Catalog,
@@ -298,6 +300,9 @@ def main(argv=None) -> int:
     except (LabelError, MatchingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 7
 
 
 if __name__ == "__main__":

@@ -112,7 +112,7 @@ def eigen_ap_provider(space, f: RationalNewform):
     u0 = u[i0]
     assert u0 != 0
     c0, d0 = space.p1.pairs[i0]
-    table = space.p1_index_table()
+    table = space.p1.table
     n = space.level
     # functional value per residue pair, 0 where the symbol is invalid
     uval = [[u[idx] if idx >= 0 else 0 for idx in row] for row in table]
@@ -214,7 +214,7 @@ class HeckeAlgebra:
         space = self.space
         N = self.level
         pairs = space.p1.pairs
-        table = space.p1_index_table()
+        table = space.p1.table
         mats = list(merel_matrices(n))
         row: list[int] = []
         for vec in self._probe_vectors:

@@ -16,6 +16,16 @@ class LatticeError(ValueError):
     """Invalid lattice pair (span containment or ambient mismatch)."""
 
 
+class InvariantError(RuntimeError):
+    """A load-bearing invariant of an exact computation does not hold."""
+
+
+def require(cond, msg: str) -> None:
+    """Raise InvariantError(msg) unless cond; unlike assert, kept under -O."""
+    if not cond:
+        raise InvariantError(msg)
+
+
 INFINITE = math.inf
 
 

@@ -20,6 +20,7 @@ from .intlattice import (
     hnf,
     kernel,
     lattice_from_rows,
+    require,
     solve_in_rowspace,
     stack,
 )
@@ -137,7 +138,13 @@ def _lift_unit(n: int, d: int, a: int) -> int:
 
 
 class P1List:
-    """Canonical representatives for P^1(Z/NZ) (Stein, Algs. 8.29/8.32)."""
+    """Canonical representatives for P^1(Z/NZ) (Stein, Algs. 8.29/8.32).
+
+    `table[c][d]` is the index of (c : d) for residues c, d mod N, or -1 when
+    gcd(c, d, N) > 1.  Each valid pair is a unit multiple of exactly one
+    representative, so the table is filled from the unit orbits of the
+    representatives (Cremona, Algorithms for Modular Elliptic Curves, 2.2).
+    """
 
     def __init__(self, N: int):
         self.N = N
@@ -151,7 +158,13 @@ class P1List:
             reps = {(0, 0)}
         self.pairs: list[tuple[int, int]] = sorted(reps)
         self.lookup = {p: i for i, p in enumerate(self.pairs)}
-        assert len(self.pairs) == index_mu(N), (N, len(self.pairs))
+        require(len(self.pairs) == index_mu(N),
+                f"P^1(Z/{N}Z) has {len(self.pairs)} points, not {index_mu(N)}")
+        units = [t for t in range(N) if gcd(t, N) == 1]
+        self.table = [[-1] * N for _ in range(N)]
+        for i, (c, d) in enumerate(self.pairs):
+            for t in units:
+                self.table[c * t % N][d * t % N] = i
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -165,7 +178,7 @@ class P1List:
         v %= N
         if u == 0:
             return (0, 1) if gcd(v, N) == 1 else None
-        x, s, g = _xgcd_nu(N, u)
+        x, s, g = xgcd(N, u)
         if gcd(g, v) > 1:
             return None
         s = _lift_unit(N, N // g, s)
@@ -176,13 +189,8 @@ class P1List:
         return (g, v)
 
     def index(self, u: int, v: int):
-        pt = self.normalize(u, v)
-        return None if pt is None else self.lookup[pt]
-
-
-def _xgcd_nu(a: int, b: int) -> tuple[int, int, int]:
-    x, y, g = xgcd(a, b)
-    return x, y, g
+        i = self.table[u % self.N][v % self.N]
+        return None if i < 0 else i
 
 
 def lift_to_sl2(c: int, d: int, N: int) -> tuple[int, int, int, int]:
@@ -322,7 +330,6 @@ class ModSymSpace:
         self._lower_cache: dict[tuple[int, int], IntMatrix] = {}
         self._al_cache: dict[int, IntMatrix] = {}
         self._newforms = None
-        self._p1_table = None
         self._cusp_solver = None
 
     # -- presentation ------------------------------------------------------
@@ -502,12 +509,14 @@ class ModSymSpace:
         assert coords.rows == expected, (self.level, coords.rows, expected)
         self.coords = coords
         self.rank = coords.rows
-        self._coord_cols = [tuple(coords.entries[i][j] for i in range(coords.rows))
-                            for j in range(mu)] if coords.rows else [() for _ in range(mu)]
-        piv = []
-        for row in coords.entries:
-            piv.append(next(j for j, x in enumerate(row) if x))
-        self._pivots = piv
+        # column j of coords as its nonzero (row, value) pairs
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(mu)]
+        for t, row in enumerate(coords.entries):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j].append((t, x))
+        self._coord_cols = [tuple(c) for c in cols]
+        self._pivots = [next(j for j, x in enumerate(row) if x) for row in coords.entries]
 
     @property
     def generators(self) -> list[P1Point]:
@@ -548,27 +557,48 @@ class ModSymSpace:
         c, d = self.p1.pairs[i]
         return lift_to_sl2(c, d, self.level)
 
-    def p1_index_table(self):
-        """Dense (c mod N, d mod N) -> symbol index table, -1 if invalid."""
-        if self._p1_table is None:
-            N = self.level
-            tab = [[-1] * N for _ in range(N)]
-            for c in range(N):
-                row = tab[c]
-                for d in range(N):
-                    idx = self.p1.index(c, d)
-                    if idx is not None:
-                        row[d] = idx
-            self._p1_table = tab
-        return self._p1_table
-
     def _class_of(self, combo: dict[int, int]) -> list[int]:
         out = [0] * self.rank
         for idx, coef in combo.items():
-            col = self._coord_cols[idx]
-            for t in range(self.rank):
-                out[t] += coef * col[t]
+            for t, x in self._coord_cols[idx]:
+                out[t] += coef * x
         return out
+
+    def _solve_and_check(self, image_class, out_rank: int) -> IntMatrix:
+        """The out_rank x rank matrix A with A . class(i) = image_class(i) for
+        every Manin symbol i.
+
+        A is solved through the pivot symbols of the HNF coordinates, then
+        checked on every symbol: an image map that does not respect the two-
+        and three-term relations raises InvariantError.
+        """
+        k = self.rank
+        if k == 0:
+            return IntMatrix.from_rows([])
+        images = [image_class(i) for i in range(self.mu)]
+        # A . P = images of the pivot symbols, where P (the pivot columns of
+        # coords) is upper triangular
+        a = [[0] * k for _ in range(out_rank)]
+        for j, pc in enumerate(self._pivots):
+            above = [(t, x) for t, x in self._coord_cols[pc] if t < j]
+            pj = self.coords.entries[j][pc]
+            img = images[pc]
+            for r, row in enumerate(a):
+                q, rem = divmod(img[r] - sum(row[t] * x for t, x in above), pj)
+                require(rem == 0, "operator image is not integral on coordinates")
+                row[j] = q
+        a_cols = [[row[s] for row in a] for s in range(k)]
+
+        def a_times_class(i: int) -> list[int]:
+            out = [0] * out_rank
+            for s, x in self._coord_cols[i]:
+                out = [o + x * y for o, y in zip(out, a_cols[s])]
+            return out
+
+        bad = next((i for i in range(self.mu) if images[i] != a_times_class(i)), None)
+        require(bad is None, f"image map does not respect the relations at Manin "
+                             f"symbol {bad} of level {self.level}")
+        return IntMatrix.from_rows(a, k if out_rank else None)
 
     # -- boundary and the cuspidal lattice ----------------------------------
 
@@ -583,15 +613,11 @@ class ModSymSpace:
             cusp_reps.append(c)
             return len(cusp_reps) - 1
 
-        raw_cols = []
+        ends = []
         for i in range(self.mu):
             a, b, c, d = self.symbol_lift(i)
-            col: dict[int, int] = {}
-            top = cusp_index(normalize_cusp(a, c))
-            bot = cusp_index(normalize_cusp(b, d))
-            col[top] = col.get(top, 0) + 1
-            col[bot] = col.get(bot, 0) - 1
-            raw_cols.append(col)
+            ends.append((cusp_index(normalize_cusp(a, c)),
+                         cusp_index(normalize_cusp(b, d))))
 
         assert len(cusp_reps) == nu_inf(N), (N, len(cusp_reps))
         self.cusps = cusp_reps
@@ -603,22 +629,15 @@ class ModSymSpace:
             self.cuspidal_lattice = lattice_from_rows(0, [])
             return
 
-        # boundary matrix on coordinates: Bd * coords = raw
-        piv = self._pivots
-        p_mat = IntMatrix.from_rows(
-            [[self.coords.entries[i][piv[j]] for j in range(self.rank)]
-             for i in range(self.rank)]
-        )
-        m_piv = IntMatrix.from_rows(
-            [[raw_cols[piv[j]].get(r, 0) for j in range(self.rank)] for r in range(ncusp)]
-        )
-        bd = _solve_through_pivots(p_mat, m_piv)
-        # verify against every symbol, not only the pivots
-        for i in range(self.mu):
-            col = self._coord_cols[i]
-            for r in range(ncusp):
-                got = sum(bd.entries[r][t] * col[t] for t in range(self.rank))
-                assert got == raw_cols[i].get(r, 0), "boundary solve mismatch"
+        def boundary_of(i: int) -> list[int]:
+            out = [0] * ncusp
+            top, bot = ends[i]
+            out[top] += 1
+            out[bot] -= 1
+            return out
+
+        # boundary matrix on coordinates: Bd . class(i) = boundary of symbol i
+        bd = self._solve_and_check(boundary_of, ncusp)
         self.boundary = bd
         cusp_kernel = kernel(bd)
         assert cusp_kernel.rows == 2 * self.genus, (self.level, cusp_kernel.rows)
@@ -626,31 +645,6 @@ class ModSymSpace:
         self.cuspidal_lattice = Lattice(self.rank, cusp_kernel)
 
     # -- operators -----------------------------------------------------------
-
-    def _operator_on_coords(self, image_of, verify: bool = True) -> IntMatrix:
-        """Matrix A with A . class(v) = class(image(v)) for all symbols v."""
-        if self.rank == 0:
-            return IntMatrix.from_rows([])
-        piv = self._pivots
-        p_mat = IntMatrix.from_rows(
-            [[self.coords.entries[i][piv[j]] for j in range(self.rank)]
-             for i in range(self.rank)]
-        )
-        cols = [self._class_of(image_of(pc)) for pc in piv]
-        m_piv = IntMatrix.from_rows([[cols[j][t] for j in range(self.rank)]
-                                     for t in range(self.rank)])
-        a = _solve_through_pivots(p_mat, m_piv)
-        if verify:
-            check = range(self.mu) if self.mu * self.rank <= 200_000 else \
-                [(17 * t + 1) % self.mu for t in range(64)]
-            for i in check:
-                img = self._class_of(image_of(i))
-                col = self._coord_cols[i]
-                for t in range(self.rank):
-                    assert img[t] == sum(
-                        a.entries[t][s] * col[s] for s in range(self.rank)
-                    ), "operator does not respect the relations"
-        return a
 
     def _restrict_to_cuspidal(self, a: IntMatrix) -> IntMatrix:
         """R with a . B^T = B^T . R for the cuspidal basis B; must be exact."""
@@ -673,7 +667,7 @@ class ModSymSpace:
         N = self.level
         mats = list(merel_matrices(m))
         p1 = self.p1
-        table = self.p1_index_table()
+        table = p1.table
 
         def image_of(i: int) -> dict[int, int]:
             c, d = p1.pairs[i]
@@ -688,7 +682,9 @@ class ModSymSpace:
 
     def hecke_on_coords(self, m: int) -> IntMatrix:
         if m not in self._hecke_coord_cache:
-            self._hecke_coord_cache[m] = self._operator_on_coords(self._hecke_images(m))
+            images = self._hecke_images(m)
+            self._hecke_coord_cache[m] = self._solve_and_check(
+                lambda i: self._class_of(images(i)), self.rank)
         return self._hecke_coord_cache[m]
 
     def hecke_on_cuspidal(self, m: int) -> IntMatrix:
@@ -752,34 +748,12 @@ class ModSymSpace:
         return sol
 
     def _mobius_operator(self, mat: tuple[int, int, int, int]) -> IntMatrix:
-        def image_of(i: int) -> dict[int, int]:
+        """Coordinate matrix of the path map {alpha, beta} -> {mat alpha, mat beta}."""
+        def image_class(i: int) -> list[int]:
             a, b, c, d = self.symbol_lift(i)
-            cls = self.path_class(mobius(mat, (b, d)), mobius(mat, (a, c)))
-            return None  # unused; see below
+            return self.path_class(mobius(mat, (b, d)), mobius(mat, (a, c)))
 
-        # path images are already coordinate vectors, so bypass _class_of
-        if self.rank == 0:
-            return IntMatrix.from_rows([])
-        piv = self._pivots
-        p_mat = IntMatrix.from_rows(
-            [[self.coords.entries[i][piv[j]] for j in range(self.rank)]
-             for i in range(self.rank)]
-        )
-        cols = []
-        for pc in piv:
-            a, b, c, d = self.symbol_lift(pc)
-            cols.append(self.path_class(mobius(mat, (b, d)), mobius(mat, (a, c))))
-        m_piv = IntMatrix.from_rows([[cols[j][t] for j in range(self.rank)]
-                                     for t in range(self.rank)])
-        op = _solve_through_pivots(p_mat, m_piv)
-        for i in range(self.mu):
-            a, b, c, d = self.symbol_lift(i)
-            img = self.path_class(mobius(mat, (b, d)), mobius(mat, (a, c)))
-            col = self._coord_cols[i]
-            for t in range(self.rank):
-                assert img[t] == sum(op.entries[t][s] * col[s] for s in range(self.rank)), \
-                    "path operator does not respect the relations"
-        return op
+        return self._solve_and_check(image_class, self.rank)
 
     def atkin_lehner(self, q_power: int) -> IntMatrix:
         """Matrix of w_q on the cuspidal lattice, for q_power || level."""
@@ -827,28 +801,13 @@ class ModSymSpace:
             self._lower_cache[key] = out
             return out
 
-        piv = self._pivots
-        p_mat = IntMatrix.from_rows(
-            [[self.coords.entries[i][piv[j]] for j in range(self.rank)]
-             for i in range(self.rank)]
-        )
-
         def image_class(i: int) -> list[int]:
             a, b, c, cdd = self.symbol_lift(i)
             lo = mobius((d, 0, 0, 1), (b, cdd))
             hi = mobius((d, 0, 0, 1), (a, c))
             return target.path_class(lo, hi)
 
-        cols = [image_class(pc) for pc in piv]
-        m_piv = IntMatrix.from_rows([[cols[j][t] for j in range(self.rank)]
-                                     for t in range(target.rank)])
-        raw = _solve_through_pivots_rect(p_mat, m_piv)
-        for i in range(self.mu):
-            img = image_class(i)
-            col = self._coord_cols[i]
-            for t in range(target.rank):
-                assert img[t] == sum(raw.entries[t][s] * col[s] for s in range(self.rank)), \
-                    "degeneracy map does not respect the relations"
+        raw = self._solve_and_check(image_class, target.rank)
 
         # restrict: raw . B_N^T = B_M^T . out
         lhs = self.cuspidal_basis * raw.transpose()
@@ -879,12 +838,6 @@ class ModSymSpace:
             return IntMatrix.from_rows(
                 [[0] * source.cuspidal_basis.rows
                  for _ in range(self.cuspidal_basis.rows)])
-        piv = source._pivots
-        p_mat = IntMatrix.from_rows(
-            [[source.coords.entries[i][piv[j]] for j in range(source.rank)]
-             for i in range(source.rank)]
-        )
-
         def image_class(i: int) -> list[int]:
             a, b, c, dd = source.symbol_lift(i)
             out = [0] * self.rank
@@ -896,10 +849,7 @@ class ModSymSpace:
                     out[t] += part[t]
             return out
 
-        cols = [image_class(pc) for pc in piv]
-        m_piv = IntMatrix.from_rows([[cols[j][t] for j in range(source.rank)]
-                                     for t in range(self.rank)])
-        raw = _solve_through_pivots_rect(p_mat, m_piv)
+        raw = source._solve_and_check(image_class, self.rank)
         lhs = source.cuspidal_basis * raw.transpose()
         out_t = solve_in_rowspace(self.cuspidal_basis, lhs, integral=True)
         assert out_t is not None, "transfer image is not cuspidal-integral"
@@ -989,28 +939,6 @@ def _eigenvalue_candidates(p: int, N: int):
     if (N // p) % p:
         return (-1, 1)
     return (0,)
-
-
-def _solve_through_pivots(p_mat: IntMatrix, m_piv: IntMatrix) -> IntMatrix:
-    """A with A * p_mat = m_piv, p_mat square upper-triangular, exact."""
-    return _solve_through_pivots_rect(p_mat, m_piv)
-
-
-def _solve_through_pivots_rect(p_mat: IntMatrix, m_piv: IntMatrix) -> IntMatrix:
-    k = p_mat.rows
-    out_rows = m_piv.rows
-    p = p_mat.entries
-    a = [[0] * k for _ in range(out_rows)]
-    for j in range(k):
-        pj = p[j][j]
-        for r in range(out_rows):
-            acc = m_piv.entries[r][j]
-            for t in range(j):
-                acc -= a[r][t] * p[t][j]
-            q, rem = divmod(acc, pj)
-            assert rem == 0, "operator image is not integral on coordinates"
-            a[r][j] = q
-    return IntMatrix.from_rows(a, k if out_rows else None)
 
 
 _SPACES: dict[int, ModSymSpace] = {}

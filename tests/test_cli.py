@@ -90,12 +90,17 @@ def test_census_coverage_gap(capsys):
     assert code == 5
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(manincert.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_leaves_out_network_and_pools():
     """`import manincert.cli` pulls in no network or process-pool module.
     A fresh interpreter, since pytest has imported much of the stdlib."""
-    src = str(Path(manincert.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     heavy = ("urllib.request", "http.client", "ssl", "concurrent.futures",
              "multiprocessing")
     code = ("import sys, manincert.cli; "
@@ -103,6 +108,29 @@ def test_cli_import_leaves_out_network_and_pools():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_under_python_O():
+    """certify and selftest give the same exit code and output under -O."""
+    for argv in (["--format", "json", "certify", "--label", "11.a2"], ["selftest"]):
+        runs = [subprocess.run([sys.executable, *opt, "-m", "manincert.cli", *argv],
+                               env=_src_env(), capture_output=True, text=True,
+                               timeout=120)
+                for opt in ([], ["-O"])]
+        assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+        assert runs[0].stdout == runs[1].stdout
+
+
+def test_invariant_error_exit_code(capsys, monkeypatch):
+    from manincert import cli
+    from manincert.intlattice import InvariantError
+
+    def broken(n):
+        raise InvariantError("relations not respected")
+
+    monkeypatch.setattr(cli, "build_space", broken)
+    code, _, err = run(capsys, "certify", "--label", "11.a2")
+    assert code == 7 and "invariant violated" in err
 
 
 def test_numeric_11a2(capsys):

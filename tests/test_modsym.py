@@ -1,6 +1,6 @@
 import pytest
 
-from manincert.intlattice import IntMatrix, hnf, lattice_from_rows, stack
+from manincert.intlattice import IntMatrix, InvariantError, hnf, lattice_from_rows, stack
 from manincert.modsym import (
     build_space,
     cusps_equivalent,
@@ -27,6 +27,46 @@ def test_p1_normalize_idempotent():
                 if pt is not None:
                     assert p1.normalize(*pt) == pt
                     assert pt in p1.lookup
+
+
+def test_p1_table_agrees_with_normalize():
+    """The unit-orbit table gives what normalize + lookup gives, for every
+    residue pair."""
+    for n in (*range(1, 71), 198, 530):
+        p1 = P1List(n)
+        for c in range(n):
+            for d in range(n):
+                pt = p1.normalize(c, d)
+                assert p1.index(c, d) == (None if pt is None else p1.lookup[pt]), (n, c, d)
+
+
+def test_relation_check_rejects_map_off_the_quotient():
+    s = build_space(37)
+    with pytest.raises(InvariantError):
+        s._solve_and_check(lambda i: s._class_of({(i + 1) % s.mu: 1}), s.rank)
+
+
+def test_relation_check_covers_every_symbol():
+    """T_2's images pass; changing the image of any one non-pivot symbol
+    (which the pivot solve never reads) is caught."""
+    s = build_space(37)
+    images = s._hecke_images(2)
+
+    def t2_class(i):
+        return s._class_of(images(i))
+
+    assert s._solve_and_check(t2_class, s.rank) == s.hecke_on_coords(2)
+    non_pivots = sorted(set(range(s.mu)) - set(s._pivots))
+    assert non_pivots
+    for bad in non_pivots:
+        def image(i, bad=bad):
+            cls = t2_class(i)
+            if i == bad:
+                cls[0] += 1
+            return cls
+
+        with pytest.raises(InvariantError):
+            s._solve_and_check(image, s.rank)
 
 
 def test_merel_determinants():
