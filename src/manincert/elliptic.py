@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .heckeforms import RationalNewform, sturm_bound
+from .intlattice import require
 from .modsym import factorize, primes_up_to
 
 
@@ -78,8 +79,8 @@ class MinimalModel:
     def as_weierstrass(self) -> WeierstrassModel:
         return WeierstrassModel.from_ainvs(self.ainvs)
 
-    def b_invariants(self):
-        return self.as_weierstrass().b_invariants()
+    # the integral coefficients go straight into the int formula
+    b_invariants = WeierstrassModel.b_invariants
 
 
 def _ainvs_from_c4c6(c4: int, c6: int):
@@ -217,7 +218,13 @@ def two_torsion_rank(m: MinimalModel) -> int:
 
 
 def count_points(m: MinimalModel, p: int) -> int:
-    """#E(F_p) by direct enumeration (p = 2, 3) or character sums."""
+    """#E(F_p) at a prime p of good reduction.
+
+    p = 2, 3 by direct enumeration.  For p >= 5, completing the square turns
+    the model into (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so each x
+    contributes 1 + chi(rhs) affine points, chi the quadratic character mod
+    p; chi is read from a table of the squares mod p built once per call.
+    """
     a1, a2, a3, a4, a6 = m.ainvs
     if p in (2, 3):
         count = 1
@@ -228,24 +235,20 @@ def count_points(m: MinimalModel, p: int) -> int:
                     count += 1
         return count
     b2, b4, b6, _ = m.b_invariants()
-    b2, b4, b6 = int(b2) % p, int(b4) % p, int(b6) % p
-    # (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    count = 1
-    half = (p - 1) // 2
-    for x in range(p):
-        v = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-        if v == 0:
-            count += 1
-        else:
-            count += 1 + (1 if pow(v, half, p) == 1 else -1)
-    return count
+    b2, b4, b6 = b2 % p, 2 * b4 % p, b6 % p
+    chi = [-1] * p
+    chi[0] = 0
+    for y in range(1, (p + 1) // 2):
+        chi[y * y % p] = 1
+    return p + 1 + sum([chi[(((4 * x + b2) * x + b4) * x + b6) % p]
+                        for x in range(p)])
 
 
 def ap_via_counting(m: MinimalModel, p: int) -> int:
     if m.delta_min % p == 0:
         raise BadReductionError(f"{p} divides the minimal discriminant")
     ap = p + 1 - count_points(m, p)
-    assert ap * ap <= 4 * p, "Hasse bound violated"
+    require(ap * ap <= 4 * p, f"point count at {p} violates the Hasse bound")
     return ap
 
 

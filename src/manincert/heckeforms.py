@@ -22,6 +22,7 @@ from .intlattice import (
     lattice_from_rows,
     lattice_sum,
     quotient_order,
+    require,
     solve_in_rowspace,
     stack,
     standard_lattice,
@@ -62,16 +63,22 @@ class RationalNewform:
     eigenspace: Lattice
     sign_w: dict[int, int]
     _an: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    # Hecke complement in the cuspidal homology (see homology_complement);
+    # copies made with dataclasses.replace start without it
+    _complement: IntMatrix | None = field(default=None, init=False, repr=False,
+                                          compare=False)
     _ap_provider = None
 
     def __post_init__(self):
         for p, a in self.ap.items():
             if self.level % p:
-                assert a * a <= 4 * p, f"Hasse bound fails at {p}"
+                require(a * a <= 4 * p, f"Hasse bound fails at {p}")
             elif (self.level // p) % p:
-                assert a in (-1, 1)
+                require(a in (-1, 1), f"a_{p} = {a} at a prime exactly dividing "
+                                      f"the level {self.level}")
             else:
-                assert a == 0
+                require(a == 0, f"a_{p} = {a} at a prime whose square divides "
+                                f"the level {self.level}")
 
     def prime_eigenvalue(self, p: int) -> int:
         if p not in self.ap:
@@ -82,7 +89,7 @@ class RationalNewform:
                 if self._ap_provider is None:
                     self._ap_provider = eigen_ap_provider(build_space(self.level), self)
                 a = self._ap_provider(p)
-                assert a * a <= 4 * p, f"Hasse bound fails at {p}"
+                require(a * a <= 4 * p, f"Hasse bound fails at {p}")
                 self.ap[p] = a
         return self.ap[p]
 
@@ -103,14 +110,14 @@ def eigen_ap_provider(space, f: RationalNewform):
         left = ker if left is None else _intersect_rowspans(left, ker)
         if left.rows == 2:
             break
-    assert left is not None and left.rows == 2, "dual eigenspace has wrong rank"
+    require(left is not None and left.rows == 2, "dual eigenspace has wrong rank")
     w = left.entries[0]
     # u as a functional on formal symbol sums: u = w . K
     u = [sum(w[t] * space.coords.entries[t][j] for t in range(k))
          for j in range(space.mu)]
     i0 = max(range(space.mu), key=lambda j: abs(u[j]))
     u0 = u[i0]
-    assert u0 != 0
+    require(u0 != 0, "dual eigenvector vanishes on every Manin symbol")
     c0, d0 = space.p1.pairs[i0]
     table = space.p1.table
     n = space.level
@@ -118,12 +125,12 @@ def eigen_ap_provider(space, f: RationalNewform):
     uval = [[u[idx] if idx >= 0 else 0 for idx in row] for row in table]
 
     def provider(p: int) -> int:
-        assert n % p, "provider is for good primes only"
+        require(n % p, "provider is for good primes only")
         acc = 0
         for a, b, cc, dd in heilbronn_cremona(p):
             acc += uval[(c0 * a + d0 * cc) % n][(c0 * b + d0 * dd) % n]
         q, r = divmod(acc, u0)
-        assert r == 0, "dual eigenvector extraction returned a non-integer"
+        require(r == 0, "dual eigenvector extraction returned a non-integer")
         return q
 
     return provider
@@ -357,6 +364,16 @@ def hecke_complement_rows(hecke: Callable[[int], IntMatrix], f: RationalNewform,
         f"Hecke complement has rank {rows.rows}, expected {target} "
         f"(level {f.level})"
     )
+
+
+def homology_complement(space, f: RationalNewform) -> IntMatrix:
+    """Hecke complement of f in the cuspidal homology lattice of `space`
+    (f's level), computed once per newform: the modular degree and the
+    newform periods both start from it."""
+    if f._complement is None:
+        f._complement = hecke_complement_rows(
+            space.hecke_on_cuspidal, f, space.cuspidal_basis.rows - 2)
+    return f._complement
 
 
 def isotypic_complement_on_dual(alg: HeckeAlgebra, f: RationalNewform) -> IntMatrix:

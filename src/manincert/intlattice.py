@@ -325,21 +325,20 @@ def _solve_rows(h, u, pivots, target, integral: bool):
     """x with x * basis = target, given U * basis = H in row HNF, or None.
 
     The coefficient of H's i-th row is fixed by the target's entry at that
-    row's pivot, since later rows vanish there.  With integral=True the whole
-    solve is in ints and a nonzero remainder at a pivot means no integer
-    solution; with integral=False the coefficients are Fractions."""
+    row's pivot, since later rows vanish there.  The solve is in ints: with
+    integral=True a nonzero remainder at a pivot means no integer solution;
+    with integral=False the target is first scaled by d, the product of the
+    pivots, which makes every division exact, and the coefficients come back
+    as Fractions over d."""
     he, ue = h.entries, u.entries
     ncols = h.cols
-    rem = list(target) if integral else [Fraction(x) for x in target]
+    d = 1 if integral else math.prod(he[i][pc] for i, pc in enumerate(pivots))
+    rem = [d * x for x in target] if d != 1 else list(target)
     c = []
     for i, pc in enumerate(pivots):
-        x = rem[pc]
-        if integral:
-            q, r = divmod(x, he[i][pc])
-            if r:
-                return None
-        else:
-            q = x / he[i][pc]
+        q, r = divmod(rem[pc], he[i][pc])
+        if r:
+            return None
         c.append(q)
         if q:
             hi = he[i]
@@ -349,7 +348,8 @@ def _solve_rows(h, u, pivots, target, integral: bool):
         return None
     # coefficients are w.r.t. rows of H; convert back through U
     live = [i for i, q in enumerate(c) if q]
-    return [sum(c[i] * ue[i][j] for i in live) for j in range(u.cols)]
+    x = [sum(c[i] * ue[i][j] for i in live) for j in range(u.cols)]
+    return x if integral else [Fraction(v, d) for v in x]
 
 
 def solve_in_rowspace(basis: IntMatrix, targets: IntMatrix, integral: bool = True):

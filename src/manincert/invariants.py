@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .heckeforms import RationalNewform, hecke_complement_rows
+# hecke_complement_rows stays importable from here: perfbench/tracing.py
+# charges its calls to this layer under that name
+from .heckeforms import (  # noqa: F401
+    RationalNewform,
+    hecke_complement_rows,
+    homology_complement,
+)
 from .intlattice import (
     kernel,
     lattice_sum,
@@ -46,7 +52,7 @@ def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
     n = space.cuspidal_basis.rows
     lf = f.eigenspace
     assert lf.rank == 2 and saturate(lf) == lf
-    comp = hecke_complement_rows(space.hecke_on_cuspidal, f, n - 2)
+    comp = homology_complement(space, f)
     lperp = subspace_integer_points(n, comp.entries)
     total = lattice_sum(lf, lperp)
     if total.rank != n:

@@ -655,11 +655,16 @@ class ModSymSpace:
         b = self.cuspidal_basis
         if self._cusp_solver is None:
             self._cusp_solver = RowSolver(b)
-        target = b * a.transpose()  # rows: images of basis vectors
+        a_cols = a.transpose().entries
         rows = []
-        for t in target.entries:
+        for brow in b.entries:
+            # a . brow, summed over the few nonzero entries of the basis row
+            t = [0] * a.rows
+            for s, x in enumerate(brow):
+                if x:
+                    t = [o + x * y for o, y in zip(t, a_cols[s])]
             sol = self._cusp_solver.solve(t, integral=True)
-            assert sol is not None, "operator does not preserve the cuspidal lattice"
+            require(sol is not None, "operator does not preserve the cuspidal lattice")
             rows.append(sol)
         return IntMatrix.from_rows(rows).transpose()
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .heckeforms import RationalNewform, extend_an, hecke_complement_rows
+from .heckeforms import RationalNewform, extend_an, homology_complement
 from .intlattice import IntMatrix, kernel, solve_in_rowspace
 from .modsym import ModSymSpace, xgcd
 
@@ -352,7 +352,7 @@ def newform_period_lattice(space: ModSymSpace, f: RationalNewform,
     if tol <= 0:
         raise ToleranceError("tolerance must be positive")
     n2g = space.cuspidal_basis.rows
-    comp = hecke_complement_rows(space.hecke_on_cuspidal, f, n2g - 2)
+    comp = homology_complement(space, f)
     if comp.rows:
         quot = kernel(IntMatrix.from_rows(
             [list(r) for r in comp.entries], n2g))

@@ -111,8 +111,11 @@ def test_cli_import_leaves_out_network_and_pools():
 
 
 def test_cli_under_python_O():
-    """certify and selftest give the same exit code and output under -O."""
-    for argv in (["--format", "json", "certify", "--label", "11.a2"], ["selftest"]):
+    """certify, numeric and selftest give the same exit code and output
+    under -O."""
+    for argv in (["--format", "json", "certify", "--label", "11.a2"],
+                 ["--format", "json", "numeric", "--label", "11.a2"],
+                 ["selftest"]):
         runs = [subprocess.run([sys.executable, *opt, "-m", "manincert.cli", *argv],
                                env=_src_env(), capture_output=True, text=True,
                                timeout=120)

@@ -13,7 +13,11 @@ from manincert.elliptic import (
     minimal_model_from_ainvs,
     two_torsion_rank,
 )
-from manincert.modsym import build_space
+from manincert import elliptic
+from manincert.heckeforms import RationalNewform
+from manincert.intlattice import InvariantError
+from manincert.lmfdb import fixture_entries
+from manincert.modsym import build_space, primes_up_to
 
 E11 = (0, -1, 1, -10, -20)
 E37 = (0, 0, 1, -1, 0)
@@ -68,6 +72,61 @@ def test_point_counts_and_ap():
     for p in (5, 7, 13, 101):
         ap = ap_via_counting(m37, p)
         assert ap * ap <= 4 * p
+
+
+def _brute_force_count(m, p):
+    """#E(F_p): the point at infinity plus every (x, y) in F_p^2 on the model."""
+    a1, a2, a3, a4, a6 = m.ainvs
+    count = 1
+    for x in range(p):
+        rhs = x * x * x + a2 * x * x + a4 * x + a6
+        count += sum(1 for y in range(p) if (y * y + a1 * x * y + a3 * y - rhs) % p == 0)
+    return count
+
+
+def _euler_criterion_count(m, p):
+    """#E(F_p) from the character sum, chi(v) by Euler's criterion."""
+    b2, b4, b6, _ = m.b_invariants()
+    count = 1
+    for x in range(p):
+        v = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+        count += 1 if v == 0 else 1 + (1 if pow(v, (p - 1) // 2, p) == 1 else -1)
+    return count
+
+
+def test_point_counts_match_brute_force_on_snapshot():
+    """Every snapshot curve, every good prime 5 <= p <= 47."""
+    small = [p for p in primes_up_to(47) if p >= 5]
+    for label, e in fixture_entries().items():
+        m = minimal_model_from_ainvs(e.ainvs)
+        for p in small:
+            if m.delta_min % p:
+                assert count_points(m, p) == _brute_force_count(m, p), (label, p)
+
+
+def test_point_counts_match_euler_criterion():
+    labels = ("11.a2", "37.a1", "54.b1", "66.c1", "130.a2", "198.d4", "530.a1")
+    entries = fixture_entries()
+    for label in labels:
+        m = minimal_model_from_ainvs(entries[label].ainvs)
+        for p in primes_up_to(401):
+            if p >= 5 and m.delta_min % p:
+                assert count_points(m, p) == _euler_criterion_count(m, p), (label, p)
+
+
+def test_hasse_bound_is_a_typed_check(monkeypatch):
+    m = minimal_model_from_ainvs(E11)
+    monkeypatch.setattr(elliptic, "count_points", lambda m, p: 2 * p + 6)
+    with pytest.raises(InvariantError, match="Hasse"):
+        ap_via_counting(m, 7)
+
+
+def test_newform_hasse_bound_is_a_typed_check():
+    f = build_space(11).rational_eigenspaces()[0]
+    with pytest.raises(InvariantError, match="Hasse"):
+        RationalNewform(level=11, ap={2: 3}, eigenspace=f.eigenspace, sign_w=f.sign_w)
+    with pytest.raises(InvariantError):
+        RationalNewform(level=11, ap={11: 0}, eigenspace=f.eigenspace, sign_w=f.sign_w)
 
 
 def test_ap_bad_reduction_rejected():

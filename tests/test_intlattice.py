@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -201,6 +203,68 @@ def test_second_isomorphism_indices():
         assert quotient_order(s, a) == quotient_order(b, i)
 
 
+def _gauss_jordan_solve(basis_rows, t):
+    """Reference for x * B = t over Q: Gauss-Jordan in Fractions on the
+    columns of B augmented by t.  One solution (free unknowns 0), or None."""
+    n = len(basis_rows)
+    a = [[Fraction(r[j]) for r in basis_rows] + [Fraction(t[j])]
+         for j in range(len(t))]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][col]:
+                a[k] = [x - a[k][col] * y for x, y in zip(a[k], a[r])]
+        pivots.append(col)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        x[col] = a[r][n]
+    return x
+
+
+def _fraction_det(rows):
+    a = [[Fraction(x) for x in r] for r in rows]
+    out = Fraction(1)
+    for c in range(len(a)):
+        i = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if i is None:
+            return Fraction(0)
+        if i != c:
+            a[c], a[i] = a[i], a[c]
+            out = -out
+        out *= a[c][c]
+        for k in range(c + 1, len(a)):
+            f = a[k][c] / a[c][c]
+            a[k] = [x - f * y for x, y in zip(a[k], a[c])]
+    return out
+
+
+def _minor_gcd(rows, r):
+    """gcd of the r x r minors: the product of the lattice's elementary divisors."""
+    g = 0
+    for ri in combinations(range(len(rows)), r):
+        for ci in combinations(range(len(rows[0])), r):
+            g = math.gcd(g, int(_fraction_det([[rows[i][j] for j in ci] for i in ri])))
+    return g
+
+
+def _row_rank(rows):
+    """Rank by the reference solve: rows that are not combinations of the
+    earlier ones."""
+    kept = []
+    for r in rows:
+        if not kept or _gauss_jordan_solve(kept, r) is None:
+            kept.append(r)
+    return len(kept) if any(any(r) for r in kept) else 0
+
+
 def test_solve_in_rowspace_roundtrip():
     rng = random.Random(6)
     for _ in range(100):
@@ -210,10 +274,11 @@ def test_solve_in_rowspace_roundtrip():
         got = solve_in_rowspace(b, t, integral=True)
         assert got is not None
         assert got * b == t
-    # Edge cases against the Fraction solve: rank-deficient bases (a combined
-    # row, a zero row), targets outside the span, and targets inside the span
-    # with non-integer coordinates (t combines the rows before they are
-    # scaled by 2 or 3).
+    # Edge cases, both paths against the Gauss-Jordan reference: rank-
+    # deficient bases (a combined row, a zero row), targets outside the span,
+    # and targets inside the span with non-integer coordinates (t combines
+    # the rows before they are scaled by 2 or 3).  An integer solution exists
+    # iff adding t to the rows leaves the gcd of the maximal minors unchanged.
     for _ in range(300):
         base = rand_matrix(rng, rng.randint(1, 3), 4, 5)
         t = list((M([[rng.randint(-3, 3) for _ in range(base.rows)]]) * base).entries[0])
@@ -229,18 +294,24 @@ def test_solve_in_rowspace_roundtrip():
         b = M(rows)
         if rng.random() < 0.3:
             t[rng.randrange(4)] += 1  # usually leaves the span
-        ref = solve_in_rowspace(b, M([t]), integral=False)
+        ref = _gauss_jordan_solve(rows, t)
+        rat = solve_in_rowspace(b, M([t]), integral=False)
         got = solve_in_rowspace(b, M([t]), integral=True)
         if ref is None:
-            assert got is None
-            assert hnf(stack(b, M([t]))).rows > hnf(b).rows  # really outside
+            assert rat is None and got is None
             continue
-        assert [sum(q * x for q, x in zip(ref[0], col)) for col in zip(*b.entries)] == t
-        if any(Fraction(x).denominator != 1 for x in ref[0]):
-            assert got is None
-        else:
-            assert got is not None and list(got.entries[0]) == ref[0]
+        assert rat is not None
+        assert all(isinstance(q, Fraction) for q in rat[0])
+        assert [sum(q * x for q, x in zip(rat[0], col)) for col in zip(*rows)] == t
+        rk = _row_rank(rows)
+        if rk == len(rows):
+            assert rat[0] == ref  # the solution is unique
+        in_lattice = _minor_gcd(rows, rk) == _minor_gcd(rows + [t], rk)
+        assert (got is not None) == in_lattice
+        if got is not None:
             assert got * b == M([t])
+            if rk == len(rows):
+                assert list(got.entries[0]) == ref
 
 
 def test_subspace_integer_points_is_saturated():

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from manincert import heckeforms
 from manincert.elliptic import curve_ap_provider, minimal_model_from_ainvs
 from manincert.heckeforms import a_list
 from manincert.modsym import build_space
@@ -134,3 +136,29 @@ def test_fricke_identity_verified_numerically():
     calc = NewformPeriods(s, f, 1e-9)
     calc._verify_fricke()  # 11a has eigenvalue -1; identity must hold
     assert calc.w_fricke == -1
+
+
+def test_homology_complement_computed_once_per_newform(monkeypatch):
+    """The degree and the period lattice of one newform share one Hecke
+    complement; a dataclasses.replace copy computes its own."""
+    calls = []
+    orig = heckeforms.hecke_complement_rows
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(heckeforms, "hecke_complement_rows", counting)
+    from manincert.invariants import modular_degree
+
+    s = build_space(37)
+    for g in s.rational_eigenspaces():
+        calls.clear()
+        f = dataclasses.replace(g, ap=dict(g.ap), _an=dict(g._an))
+        assert modular_degree(s, f).degree == 2
+        newform_period_lattice(s, f, 1e-9)
+        assert len(calls) == 1
+        copy = dataclasses.replace(f)
+        assert copy._complement is None
+        assert heckeforms.homology_complement(s, copy) == f._complement
+        assert len(calls) == 2
