@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elliptic import MinimalModel
-from .modsym import factorize
+from .arith import factorize, valuation
+from .elliptic import MinimalModel, two_torsion_rank
+from .intlattice import require
 
 
 class NotOptimalError(RuntimeError):
@@ -96,14 +97,6 @@ class Certificate:
         }
 
 
-def _ord(n: int, p: int) -> int:
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
 def evaluate_criteria(record: CurveRecord, computed: dict) -> list[CriterionResult]:
     """Evaluate the 2-adic criteria MK2..SHIM (and EDIX per odd additive
     prime) with an applicable/not/indeterminate verdict and evidence."""
@@ -115,7 +108,7 @@ def evaluate_criteria(record: CurveRecord, computed: dict) -> list[CriterionResu
     out.append(CriterionResult(
         "MK2", v2n == 0, f"ord_2(conductor) = {v2n}"))
 
-    v2d = _ord(record.model.delta_min, 2)
+    v2d = valuation(record.model.delta_min, 2)
     out.append(CriterionResult(
         "MK3", v2d % 2 == 1, f"ord_2(minimal discriminant) = {v2d}"))
 
@@ -134,9 +127,7 @@ def evaluate_criteria(record: CurveRecord, computed: dict) -> list[CriterionResu
         "MM1", bool(q3),
         f"prime factors = 3 mod 4: {q3 or 'none'}"))
 
-    half = n // 2 if n % 2 == 0 else 0
-    mm15 = n % 2 == 0 and half > 1 and len(factorize(half)) == 1 and \
-        factorize(half)[min(factorize(half))] == 1
+    mm15 = n % 2 == 0 and list(factorize(n // 2).values()) == [1]
     out.append(CriterionResult(
         "MM15", mm15,
         f"conductor {'is' if mm15 else 'is not'} twice a prime"))
@@ -204,10 +195,9 @@ def certify_manin(record: CurveRecord, computed: dict | None = None) -> Certific
             f"curve {record.label or record.model.ainvs} is not designated "
             "optimal; every certification rule hypothesizes optimality")
     computed = dict(computed or {})
-    if record.degree is not None and "degree" in computed \
-            and computed["degree"] != record.degree:
-        raise AssertionError(
-            f"computed degree {computed['degree']} contradicts ingested "
+    require(record.degree is None
+            or computed.get("degree", record.degree) == record.degree,
+            f"computed degree {computed.get('degree')} contradicts ingested "
             f"degree {record.degree} for {record.label}")
     crit_list = evaluate_criteria(record, computed)
     criteria = {c.rule: c for c in crit_list}
@@ -321,40 +311,27 @@ def census(max_conductor: int, records: list[CurveRecord],
            coverage_check=None, provenance: str = "") -> CensusReport:
     """Staged selection reproducing the catalog experiment: optimal curves,
     semistable at 2, with all of MK2-MK4 failing; then count what MM1 and
-    MM15 settle and report the residue with its rational 2-torsion."""
+    MM15 settle and report the residue with its rational 2-torsion.  The
+    MK3, MK4, MM1 and MM15 stages read the verdicts of evaluate_criteria."""
     if coverage_check is not None:
         coverage_check(max_conductor)
-    from .elliptic import two_torsion_rank
-
-    selected = []
+    selected, mm1, rest1, mm15, rest2 = [], [], [], [], []
     for rec in sorted(records, key=lambda r: _label_key(r.label)):
-        if not rec.is_optimal or rec.conductor > max_conductor:
-            continue
-        fac = rec.conductor_factorization
-        if fac.get(2, 0) != 1:
+        if not rec.is_optimal or rec.conductor > max_conductor \
+                or rec.conductor_factorization.get(2, 0) != 1:
             continue  # MK2 applies (odd) or not 2-semistable
-        if _ord(rec.model.delta_min, 2) % 2 == 1:
-            continue  # MK3 applies
-        if rec.degree is None:
+        verdict = {c.rule: c.applicable for c in evaluate_criteria(rec, {})}
+        if verdict["MK3"] or verdict["MK4"]:
+            continue
+        if verdict["MK4"] is None:
             raise CoverageError(
                 f"no modular degree for {rec.label}: cannot stage MK4")
-        if rec.degree % 2 == 1:
-            continue  # MK4 applies
         selected.append(rec)
-
-    mm1, rest1 = [], []
-    for rec in selected:
-        if any(q % 4 == 3 for q in rec.conductor_factorization):
+        if verdict["MM1"]:
             mm1.append(rec)
         else:
             rest1.append(rec)
-    mm15, rest2 = [], []
-    for rec in rest1:
-        half = rec.conductor // 2
-        if len(factorize(half)) == 1 and factorize(half)[min(factorize(half))] == 1:
-            mm15.append(rec)
-        else:
-            rest2.append(rec)
+            (mm15 if verdict["MM15"] else rest2).append(rec)
     torsion = {rec.label: two_torsion_rank(rec.model) > 0 for rec in rest2}
     return CensusReport(
         max_conductor=max_conductor,

@@ -37,7 +37,6 @@ from .lmfdb import (
     Catalog,
     CatalogUnavailableError,
     LabelError,
-    coverage_check,
     fixture_manifest,
     record_from_entry,
 )
@@ -165,9 +164,9 @@ def run_census(args, catalog: Catalog, fmt: str) -> int:
     bound = args.max_conductor
     if bound < 0:
         raise UsageError("--max-conductor must be >= 0")
-    entries = catalog.fetch_range(bound) if bound >= 1 else []
-    records = [record_from_entry(e) for e in entries if e.optimality_flag]
-    report = census(bound, records, coverage_check=coverage_check,
+    records = [record_from_entry(e) for e in catalog.fetch_range(bound)
+               if e.optimality_flag]
+    report = census(bound, records,
                     provenance=fixture_manifest()["optimality_convention"])
     _emit(_census_payload(report), fmt)
     return 0
@@ -235,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact modular degrees, congruence numbers and "
                     "Manin-constant certificates for optimal elliptic quotients.")
     ap.add_argument("--version", action="version", version=__version__)
-    ap.add_argument("--offline", action="store_true", default=True,
-                    help="never touch the network (default)")
-    ap.add_argument("--online", dest="offline", action="store_false",
-                    help="allow the remote catalog endpoint")
-    ap.add_argument("--cache", default=None, help="catalog cache path (JSONL)")
     ap.add_argument("--format", choices=("table", "json"), default="table")
     ap.add_argument("--level-ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
                     help="largest level accepted by analyze")
@@ -269,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    catalog = Catalog(cache_path=args.cache, offline=args.offline)
+    catalog = Catalog()
     try:
         if args.command == "analyze":
             return run_level(args.level, args.format, args.level_ceiling)

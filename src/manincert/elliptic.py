@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .arith import divisors, factorize, primes_up_to
 from .heckeforms import RationalNewform, sturm_bound
 from .intlattice import require
-from .modsym import factorize, primes_up_to
 
 
 class SingularCurveError(ValueError):
@@ -137,8 +137,6 @@ def minimal_model(w: WeierstrassModel) -> MinimalModel:
     # Maximize the rational scaling u = d/w (w | 6: obstructions to realizing
     # an integral (c4, c6) pair live only at 2 and 3) such that
     # (c4/u^4, c6/u^6) is integral and comes from an integral model.
-    from .modsym import divisors
-
     best = None  # (u as Fraction, ainvs)
     for w in (1, 2, 3, 6):
         C4, C6 = c4i * w**4, c6i * w**6
@@ -181,8 +179,6 @@ def _rational_roots_of_integer_cubic(coeffs):
     if c0 == 0:
         rest = _rational_roots_of_quadratic(c3, c2, c1)
         return sorted(set([Fraction(0)] + rest))
-    from .modsym import divisors
-
     roots = set()
     for s in divisors(abs(c0)):
         for t in divisors(abs(c3)):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from .arith import factorize, primes_up_to
 from .intlattice import (
     IntMatrix,
     Lattice,
@@ -28,14 +29,7 @@ from .intlattice import (
     standard_lattice,
     subspace_integer_points,
 )
-from .modsym import (
-    build_space,
-    factorize,
-    heilbronn_cremona,
-    index_mu,
-    merel_matrices,
-    primes_up_to,
-)
+from .modsym import build_space, heilbronn_cremona, index_mu, merel_matrices
 
 
 class PrecisionError(ValueError):
@@ -174,13 +168,6 @@ def extend_an(f: RationalNewform, n: int) -> int:
 
 def a_list(f: RationalNewform, B: int) -> list[int]:
     return [extend_an(f, n) for n in range(1, B + 1)]
-
-
-@dataclass(frozen=True)
-class IntegralCuspBasis:
-    level: int
-    precision: int
-    coeff_matrix: IntMatrix  # rows: Z-basis of S_2(Gamma0(N), Z), columns a_1..a_B
 
 
 class HeckeAlgebra:
@@ -324,13 +311,6 @@ def hecke_algebra(N: int) -> HeckeAlgebra:
     if N not in _ALGEBRAS:
         _ALGEBRAS[N] = HeckeAlgebra(N)
     return _ALGEBRAS[N]
-
-
-def integral_cusp_basis(N: int, B: int) -> IntegralCuspBasis:
-    if B < sturm_bound(N):
-        raise PrecisionError(f"precision {B} below Sturm bound {sturm_bound(N)}")
-    alg = hecke_algebra(N)
-    return IntegralCuspBasis(N, B, alg.coefficient_basis(B))
 
 
 def hecke_complement_rows(hecke: Callable[[int], IntMatrix], f: RationalNewform,

@@ -29,19 +29,6 @@ def require(cond, msg: str) -> None:
 INFINITE = math.inf
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
@@ -111,9 +98,6 @@ class IntMatrix:
     def matvec(self, v) -> list[int]:
         """self @ v for a column vector v (returned as a list)."""
         return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
 
 
 def stack(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -18,16 +18,18 @@ from .heckeforms import (  # noqa: F401
     hecke_complement_rows,
     homology_complement,
 )
+from .arith import factorize, valuation
 from .intlattice import (
     kernel,
     lattice_sum,
     quotient_order,
+    require,
     saturate,
     snf_diagonal,
     standard_lattice,
     subspace_integer_points,
 )
-from .modsym import ModSymSpace, factorize
+from .modsym import ModSymSpace
 
 
 class DegreeConsistencyError(RuntimeError):
@@ -75,7 +77,12 @@ def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
             f"composite endomorphism has invariants {snf_diagonal(composite)}, "
             f"expected multiplication by {deg}"
         )
-    idx = space.rational_eigenspaces().index(f)
+    # by eigenspace, not by equality: f's a_p memo may have grown since the
+    # space cached its newforms
+    idx = next((i for i, g in enumerate(space.rational_eigenspaces())
+                if g.eigenspace == lf), None)
+    require(idx is not None,
+            f"newform is not a rational eigenspace of level {space.level}")
     return DegreeResult(space.level, idx, deg, index)
 
 
@@ -88,21 +95,13 @@ class GapReport:
     quotient_factorization: dict[int, int]
 
 
-def _ord2(n: int) -> int:
-    k = 0
-    while n % 2 == 0:
-        n //= 2
-        k += 1
-    return k
-
-
 def degree_congruence_gap(deg: DegreeResult, r_f: int) -> GapReport:
     if r_f % deg.degree:
         raise DivisibilityError(
             f"degree {deg.degree} does not divide congruence number {r_f} "
             f"(level {deg.level}): contradicts the ARS divisibility"
         )
-    gap = _ord2(r_f) - _ord2(deg.degree)
+    gap = valuation(r_f, 2) - valuation(deg.degree, 2)
     assert gap >= 0
     return GapReport(
         level=deg.level,

@@ -11,9 +11,9 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .arith import divisors, factorize, primes_up_to, xgcd
 from .intlattice import (
     IntMatrix,
     Lattice,
@@ -26,52 +26,7 @@ from .intlattice import (
 )
 
 # ---------------------------------------------------------------------------
-# arithmetic helpers
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * 0 or bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i in range(2, n + 1) if sieve[i]]
-
-
-def factorize(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
+# Gamma0(N) counts
 
 
 def index_mu(n: int) -> int:
@@ -297,22 +252,6 @@ def heilbronn_cremona(p: int):
 # the modular symbol space
 
 
-@dataclass(frozen=True)
-class P1Point:
-    """Canonical projective pair (c : d) modulo N."""
-
-    c: int
-    d: int
-
-
-@dataclass(frozen=True)
-class HeckeOperator:
-    """Hecke operator T_m as an exact matrix on cuspidal-lattice coordinates."""
-
-    index: int
-    matrix: IntMatrix
-
-
 class ModSymSpace:
     """Weight-2 modular symbols for Gamma0(N) with exact integral structure."""
 
@@ -519,10 +458,6 @@ class ModSymSpace:
         self._pivots = [next(j for j, x in enumerate(row) if x) for row in coords.entries]
 
     @property
-    def generators(self) -> list[P1Point]:
-        return [P1Point(c, d) for c, d in self.p1.pairs]
-
-    @property
     def presentation(self) -> IntMatrix:
         """The raw two- and three-term relation matrix on Manin symbols."""
         if getattr(self, "_presentation", None) is None:
@@ -548,10 +483,6 @@ class ModSymSpace:
                 rows.append(row)
             self._presentation = IntMatrix.from_rows(rows, self.mu)
         return self._presentation
-
-    @property
-    def cuspidal_lattice_rank(self) -> int:
-        return self.cuspidal_basis.rows
 
     def symbol_lift(self, i: int) -> tuple[int, int, int, int]:
         c, d = self.p1.pairs[i]
@@ -697,11 +628,6 @@ class ModSymSpace:
             self._hecke_cusp_cache[m] = self._restrict_to_cuspidal(self.hecke_on_coords(m))
         return self._hecke_cusp_cache[m]
 
-    def hecke_operator(self, m: int) -> HeckeOperator:
-        if m < 1:
-            raise ValueError("Hecke index must be >= 1")
-        return HeckeOperator(m, self.hecke_on_cuspidal(m))
-
     # -- paths ---------------------------------------------------------------
 
     def _zero_to(self, cusp: tuple[int, int]) -> list[int]:
@@ -776,10 +702,6 @@ class ModSymSpace:
             assert mat * mat == ident, "Atkin-Lehner matrix is not an involution"
             self._al_cache[q] = mat
         return self._al_cache[q]
-
-    def fricke(self) -> IntMatrix:
-        return self.atkin_lehner(self.level) if self.level > 1 else \
-            IntMatrix.identity(self.cuspidal_basis.rows)
 
     def star_involution(self) -> IntMatrix:
         """The star involution {a, b} -> {-a, -b} on the cuspidal lattice."""

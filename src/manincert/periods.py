@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import xgcd
 from .heckeforms import RationalNewform, extend_an, homology_complement
 from .intlattice import IntMatrix, kernel, solve_in_rowspace
-from .modsym import ModSymSpace, xgcd
+from .modsym import ModSymSpace
 
 
 class ToleranceError(ValueError):

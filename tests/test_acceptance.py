@@ -26,7 +26,8 @@ from manincert.intlattice import (
 )
 from manincert.invariants import degree_congruence_gap, modular_degree
 from manincert.lmfdb import coverage_check, fixture_entries, fixture_manifest, record_from_entry
-from manincert.modsym import build_space, factorize, genus_x0, primes_up_to
+from manincert.arith import factorize, primes_up_to
+from manincert.modsym import build_space, genus_x0
 from manincert.periods import (
     elliptic_period_lattice,
     manin_constant_numeric,

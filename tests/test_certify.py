@@ -16,6 +16,8 @@ from manincert.certify import (
     evaluate_criteria,
 )
 from manincert.elliptic import minimal_model_from_ainvs
+from manincert.intlattice import InvariantError
+from manincert.lmfdb import fixture_entries, record_from_entry
 
 
 def record(ainvs, conductor, label=None, optimal=True, degree=None,
@@ -80,6 +82,11 @@ def test_certify_refuses_non_optimal():
     rec = record((0, -1, 1, -10, -20), 11, optimal=False)
     with pytest.raises(NotOptimalError):
         certify_manin(rec, {})
+
+
+def test_certify_degree_contradiction_is_invariant_error():
+    with pytest.raises(InvariantError):
+        certify_manin(R11, {"degree": 3})
 
 
 def test_certify_bounded_when_all_two_adic_rules_fail():
@@ -186,3 +193,21 @@ def test_census_coverage_hook():
 
     with pytest.raises(CoverageError):
         census(10, [], coverage_check=boom)
+
+
+def test_census_agrees_with_certificates():
+    """Over the whole snapshot, the census stages match the rule each
+    curve's certificate cites at 2."""
+    records = [record_from_entry(e) for e in fixture_entries().values()
+               if e.optimality_flag]
+    rep = census(max(r.conductor for r in records), records)
+    checked = 0
+    for rec in records:
+        if rec.conductor_factorization.get(2, 0) != 1:
+            continue
+        two = next(pc for pc in certify_manin(rec, {}).per_prime if pc.p == 2)
+        assert (rec.label in rep.selected) == (two.rule not in ("MK3", "MK4")), rec.label
+        assert (rec.label in rep.settled_mm1) == (two.rule == "MM1"), rec.label
+        assert (rec.label in rep.settled_mm15) == (two.rule == "MM15"), rec.label
+        checked += 1
+    assert checked > len(rep.selected) > 0

@@ -90,6 +90,13 @@ def test_census_coverage_gap(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("flag", ["--cache=c.jsonl", "--online", "--offline"])
+def test_removed_catalog_flags_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "census", "--max-conductor", "10"])
+    assert exc.value.code == 2
+
+
 def _src_env() -> dict:
     """The environment of a fresh interpreter that imports this package."""
     src = str(Path(manincert.__file__).resolve().parents[1])

@@ -17,7 +17,8 @@ from manincert import elliptic
 from manincert.heckeforms import RationalNewform
 from manincert.intlattice import InvariantError
 from manincert.lmfdb import fixture_entries
-from manincert.modsym import build_space, primes_up_to
+from manincert.arith import primes_up_to
+from manincert.modsym import build_space
 
 E11 = (0, -1, 1, -10, -20)
 E37 = (0, 0, 1, -1, 0)

@@ -1,11 +1,13 @@
-"""Golden outputs: `--format json certify` and `--format json numeric`,
-byte for byte.
+"""Golden outputs: `--format json certify`, `--format json numeric` and
+`--format json census`, byte for byte.
 
 The certificates under tests/golden/ were recorded from the CLI before the
-sparse Manin-symbol layer, and the numeric outputs (numeric_<label>.json)
-before the table-driven point counts and the fraction-free rational solve.
-Any change to a certified value, to a floating-point period result or to
-the JSON layout shows up here.
+sparse Manin-symbol layer, the numeric outputs (numeric_<label>.json)
+before the table-driven point counts and the fraction-free rational solve,
+and the census outputs (census_<bound>.json) before the census was staged
+on the certificate criteria.  Any change to a certified value, to a census
+stage, to a floating-point period result or to the JSON layout shows up
+here.
 """
 
 from pathlib import Path
@@ -29,4 +31,11 @@ def test_golden_certificate(label, capsys):
 def test_golden_numeric(label, capsys):
     code = main(["--format", "json", "numeric", "--label", label])
     assert capsys.readouterr().out == (GOLDEN / f"numeric_{label}.json").read_text()
+    assert code == 0
+
+
+@pytest.mark.parametrize("bound", [40, 200])
+def test_golden_census(bound, capsys):
+    code = main(["--format", "json", "census", "--max-conductor", str(bound)])
+    assert capsys.readouterr().out == (GOLDEN / f"census_{bound}.json").read_text()
     assert code == 0

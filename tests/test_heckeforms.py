@@ -9,7 +9,6 @@ from manincert.heckeforms import (
     congruence_number,
     extend_an,
     hecke_algebra,
-    integral_cusp_basis,
     sturm_bound,
 )
 from manincert.intlattice import (
@@ -21,7 +20,8 @@ from manincert.intlattice import (
     solve_in_rowspace,
     standard_lattice,
 )
-from manincert.modsym import build_space, primes_up_to
+from manincert.arith import primes_up_to
+from manincert.modsym import build_space
 
 
 def newform(n, i=0):
@@ -57,24 +57,24 @@ def test_hasse_bound_on_extracted_ap():
 
 
 def test_integral_basis_level_11():
-    b = integral_cusp_basis(11, 10)
-    assert b.coeff_matrix.entries == ((1, -2, -1, 2, 1, 2, -2, 0, -2, -2),)
+    b = hecke_algebra(11).coefficient_basis(10)
+    assert b.entries == ((1, -2, -1, 2, 1, 2, -2, 0, -2, -2),)
 
 
 def test_integral_basis_level_1_empty():
-    assert integral_cusp_basis(1, 5).coeff_matrix.rows == 0
+    assert hecke_algebra(1).coefficient_basis(5).rows == 0
 
 
 def test_precision_below_sturm_rejected():
     with pytest.raises(PrecisionError):
-        integral_cusp_basis(11, 1)
+        hecke_algebra(11).coefficient_basis(1)
 
 
 def test_basis_stable_under_precision_increase():
     for n in (11, 22, 26):
         b0 = sturm_bound(n)
-        low = integral_cusp_basis(n, b0).coeff_matrix
-        high = integral_cusp_basis(n, b0 + 10).coeff_matrix
+        low = hecke_algebra(n).coefficient_basis(b0)
+        high = hecke_algebra(n).coefficient_basis(b0 + 10)
         trunc = hnf(IntMatrix.from_rows([row[:b0] for row in high.entries]))
         assert trunc == low
 
@@ -84,7 +84,7 @@ def test_level_22_basis_is_old_from_11():
     level-11 newform."""
     f11 = newform(11)
     b = 2 * sturm_bound(22) + 4
-    basis22 = integral_cusp_basis(22, b).coeff_matrix
+    basis22 = hecke_algebra(22).coefficient_basis(b)
     a11 = a_list(f11, b)
     emb1 = a11
     emb2 = [0] * b
@@ -102,8 +102,8 @@ def test_hecke_stability_of_basis():
         alg = hecke_algebra(n)
         b0 = alg.sturm
         for m in (2, 3, 4, 5):
-            big = integral_cusp_basis(n, m * b0).coeff_matrix
-            low = integral_cusp_basis(n, b0).coeff_matrix
+            big = hecke_algebra(n).coefficient_basis(m * b0)
+            low = hecke_algebra(n).coefficient_basis(b0)
             for row in big.entries:
                 def a(k):
                     return row[k - 1]
@@ -133,7 +133,7 @@ def test_hecke_on_dual_matches_q_expansions():
         alg = hecke_algebra(n)
         assert alg.precision == sturm_bound(n)
         b0 = alg.sturm
-        wide = integral_cusp_basis(n, 7 * b0).coeff_matrix
+        wide = hecke_algebra(n).coefficient_basis(7 * b0)
         low = IntMatrix.from_rows([row[:b0] for row in wide.entries])
         # the raw dual basis behind hecke_matrix_on_dual, in terms of `low`
         raw = IntMatrix.from_rows([row[:b0] for row in alg.basis_coeffs.entries])

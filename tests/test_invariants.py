@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from manincert.heckeforms import congruence_number
@@ -7,7 +9,8 @@ from manincert.invariants import (
     degree_congruence_gap,
     modular_degree,
 )
-from manincert.modsym import build_space, genus_x0
+from manincert.modsym import ModSymSpace, build_space, genus_x0
+from manincert.periods import newform_period_lattice
 
 
 def degrees_at(n):
@@ -24,6 +27,18 @@ def test_degree_level_37():
     da, db = degrees_at(37)
     assert da.degree == 2 and da.index_used == 4
     assert db.degree == 2
+
+
+def test_degree_of_newform_copy_with_grown_ap():
+    """The newform index is found by eigenspace: a copy whose a_p table has
+    grown past the cached newform's still gets its degree and index."""
+    s = ModSymSpace(37)  # uncached: other tests may grow the cached a_p
+    cached = s.rational_eigenspaces()[0]
+    f = dataclasses.replace(cached, ap=dict(cached.ap))
+    newform_period_lattice(s, f, 1e-8)
+    assert len(f.ap) > len(cached.ap)
+    d = modular_degree(s, f)
+    assert (d.newform_index, d.degree) == (0, 2)
 
 
 def test_degree_level_26_symmetric():

@@ -110,12 +110,12 @@ def test_structured_elimination_matches_generic_kernel():
 def test_presentation_row_count():
     s = build_space(11)
     assert s.presentation.cols == s.mu
-    assert len(s.generators) == s.mu
+    assert len(s.p1) == s.mu
 
 
 def test_hecke_t1_identity():
     s = build_space(30)
-    t1 = s.hecke_operator(1).matrix
+    t1 = s.hecke_on_cuspidal(1)
     assert t1 == IntMatrix.identity(s.cuspidal_basis.rows)
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from manincert.arith import factorize, primes_up_to  # noqa: E402
 from manincert.elliptic import (  # noqa: E402
     MinimalModel,
     WeierstrassModel,
@@ -35,7 +36,7 @@ from manincert.elliptic import (  # noqa: E402
 from manincert.heckeforms import sturm_bound  # noqa: E402
 from manincert.invariants import modular_degree  # noqa: E402
 from manincert.lmfdb import CatalogEntry  # noqa: E402
-from manincert.modsym import build_space, factorize, primes_up_to  # noqa: E402
+from manincert.modsym import build_space  # noqa: E402
 from manincert.periods import lattice_c4c6, newform_period_lattice  # noqa: E402
 
 # Within-class numbers sourced from the published census lists / catalog.
