@@ -10,6 +10,7 @@ required input is missing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import factorize, valuation
 from .elliptic import MinimalModel, two_torsion_rank
@@ -47,7 +48,7 @@ class CurveRecord:
     torsion_order: int | None = None
     kodaira: dict[int, str] | None = None
 
-    @property
+    @cached_property
     def conductor_factorization(self) -> dict[int, int]:
         return factorize(self.conductor)
 

@@ -179,15 +179,15 @@ def _rational_roots_of_integer_cubic(coeffs):
     if c0 == 0:
         rest = _rational_roots_of_quadratic(c3, c2, c1)
         return sorted(set([Fraction(0)] + rest))
+    # x = s/t is a root when t^3 times the cubic at x, an int, vanishes
     roots = set()
     for s in divisors(abs(c0)):
         for t in divisors(abs(c3)):
             if gcd(s, t) != 1:
                 continue
-            for sign in (1, -1):
-                x = Fraction(sign * s, t)
-                if ((c3 * x + c2) * x + c1) * x + c0 == 0:
-                    roots.add(x)
+            for num in (s, -s):
+                if ((c3 * num + c2 * t) * num + c1 * t * t) * num + c0 * t**3 == 0:
+                    roots.add(Fraction(num, t))
     return sorted(roots)
 
 

@@ -29,7 +29,7 @@ from .intlattice import (
     standard_lattice,
     subspace_integer_points,
 )
-from .modsym import build_space, heilbronn_cremona, index_mu, merel_matrices
+from .modsym import build_space, index_mu
 
 
 class PrecisionError(ValueError):
@@ -93,7 +93,8 @@ def eigen_ap_provider(space, f: RationalNewform):
 
     Builds an integer functional u on formal symbols that is a simultaneous
     left eigenvector for the Hecke action; then a_p = u(T_p w0)/u(w0) for any
-    symbol w0 with u(w0) != 0, at cost |Merel(p)| lookups.
+    symbol w0 with u(w0) != 0, at the cost of one T_p image of w0 (Cremona's
+    Heilbronn set, since p does not divide the level).
     """
     k = space.rank
     left = None
@@ -112,17 +113,10 @@ def eigen_ap_provider(space, f: RationalNewform):
     i0 = max(range(space.mu), key=lambda j: abs(u[j]))
     u0 = u[i0]
     require(u0 != 0, "dual eigenvector vanishes on every Manin symbol")
-    c0, d0 = space.p1.pairs[i0]
-    table = space.p1.table
-    n = space.level
-    # functional value per residue pair, 0 where the symbol is invalid
-    uval = [[u[idx] if idx >= 0 else 0 for idx in row] for row in table]
 
     def provider(p: int) -> int:
-        require(n % p, "provider is for good primes only")
-        acc = 0
-        for a, b, cc, dd in heilbronn_cremona(p):
-            acc += uval[(c0 * a + d0 * cc) % n][(c0 * b + d0 * dd) % n]
+        require(space.level % p, "provider is for good primes only")
+        acc = sum(u[j] * c for j, c in space._hecke_images(p)({i0: 1}).items())
         q, r = divmod(acc, u0)
         require(r == 0, "dual eigenvector extraction returned a non-integer")
         return q
@@ -178,13 +172,11 @@ class HeckeAlgebra:
     T -> Z^m is certified faithful by a rank check against the genus.
     """
 
-    def __init__(self, N: int, precision: int | None = None):
+    def __init__(self, N: int):
         self.level = N
         self.space = build_space(N)
         self.genus = self.space.genus
-        b0 = sturm_bound(N)
-        self.sturm = b0
-        self.precision = max(precision or 0, b0)
+        self.sturm = self.precision = sturm_bound(N)
         self._probe_vectors: list[dict[int, int]] = []
         self._h: IntMatrix | None = None  # HNF of the probe rows of T
         self._h_solver: RowSolver | None = None
@@ -192,34 +184,14 @@ class HeckeAlgebra:
 
     def _cuspidal_sections(self, count: int) -> list[dict[int, int]]:
         """Formal-symbol lifts of the first `count` cuspidal basis vectors."""
-        space = self.space
-        solver = getattr(self, "_section_solver", None)
-        if solver is None:
-            solver = RowSolver(space.coords.transpose())
-            self._section_solver = solver
-        out = []
-        for i in range(min(count, space.cuspidal_basis.rows)):
-            x = solver.solve(space.cuspidal_basis.entries[i], integral=True)
-            assert x is not None, "coordinate map is not surjective"
-            out.append({j: c for j, c in enumerate(x) if c})
-        return out
+        basis = self.space.cuspidal_basis
+        return [self.space.formal_sum(row) for row in basis.entries[:count]]
 
     def _probe_of(self, n: int) -> list[int]:
-        space = self.space
-        N = self.level
-        pairs = space.p1.pairs
-        table = space.p1.table
-        mats = list(merel_matrices(n))
+        images = self.space._hecke_images(n)
         row: list[int] = []
         for vec in self._probe_vectors:
-            combo: dict[int, int] = {}
-            for j, coef in vec.items():
-                c, d = pairs[j]
-                for a, b, cc, dd in mats:
-                    idx = table[(c * a + d * cc) % N][(c * b + d * dd) % N]
-                    if idx >= 0:
-                        combo[idx] = combo.get(idx, 0) + coef
-            row.extend(space._class_of(combo))
+            row.extend(self.space._class_of(images(vec)))
         return row
 
     def _build(self, precision: int):
@@ -237,16 +209,16 @@ class HeckeAlgebra:
             h = hnf(probe)
             if h.rows == g:
                 break
-            if nvec >= self.space.cuspidal_basis.rows:
-                raise AssertionError(f"probe map not faithful at level {self.level}")
+            require(nvec < self.space.cuspidal_basis.rows,
+                    f"probe map not faithful at level {self.level}")
             nvec = min(2 * nvec, self.space.cuspidal_basis.rows)
         if self._h is not None:
             # rebuilds at higher precision must keep the same coordinates:
             # the probe row lattice is already complete at the Sturm bound
-            assert h == self._h, "Hecke-algebra basis changed under extension"
+            require(h == self._h, "Hecke-algebra basis changed under extension")
         self._h = h
         coeffs = solve_in_rowspace(h, probe, integral=True)
-        assert coeffs is not None, "T_n outside the Z-span of the Sturm set"
+        require(coeffs is not None, "T_n outside the Z-span of the Sturm set")
         # row i of the dual basis has a_n = coeffs[n-1][i]
         self.basis_coeffs = IntMatrix.from_rows(
             [[coeffs.entries[n][i] for n in range(precision)] for i in range(g)]
@@ -274,7 +246,7 @@ class HeckeAlgebra:
         sol = solve_in_rowspace(
             self.basis_coeffs, IntMatrix.from_rows([avec]), integral=True
         )
-        assert sol is not None, "newform is not in the integral cusp lattice"
+        require(sol is not None, "newform is not in the integral cusp lattice")
         return list(sol.entries[0])
 
     def hecke_matrix_on_dual(self, p: int) -> IntMatrix:
@@ -299,7 +271,7 @@ class HeckeAlgebra:
                 block = probe[s:s + k]
                 img.extend(sum(x * y for x, y in zip(arow, block)) for arow in a)
             sol = self._h_solver.solve(img, integral=True)
-            assert sol is not None, "T_p times the Hecke algebra left the algebra"
+            require(sol is not None, "T_p times the Hecke algebra left the algebra")
             rows.append(sol)
         return IntMatrix.from_rows(rows)
 
@@ -339,7 +311,7 @@ def hecke_complement_rows(hecke: Callable[[int], IntMatrix], f: RationalNewform,
         rows = hnf(stack(rows, im)) if rows.rows else im
         if rows.rows == target:
             return rows
-        assert rows.rows < t.rows, "complement overflow"
+        require(rows.rows < t.rows, "complement overflow")
     raise ComplementRankError(
         f"Hecke complement has rank {rows.rows}, expected {target} "
         f"(level {f.level})"
@@ -379,7 +351,7 @@ def congruence_number(N: int, f: RationalNewform) -> int:
     l1 = lattice_from_rows(g, [prim])
     l2 = subspace_integer_points(g, comp.entries)
     total = lattice_sum(l1, l2)
-    assert total.rank == g, "f-line meets its complement"
+    require(total.rank == g, "f-line meets its complement")
     order = quotient_order(standard_lattice(g), total)
-    assert isinstance(order, int)
+    require(isinstance(order, int), "congruence quotient is infinite")
     return order

@@ -56,10 +56,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def tolists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
@@ -88,9 +84,6 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries))
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.entries))
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(k * a for a in r) for r in self.entries))
@@ -174,10 +167,6 @@ def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
     rows = m.tolists()
     pivots, u = _hnf_work(rows, transform=True)
     return IntMatrix.from_rows(rows), IntMatrix.from_rows(u), pivots
-
-
-def rank(m: IntMatrix) -> int:
-    return hnf(m).rows
 
 
 def kernel(m: IntMatrix) -> IntMatrix:

@@ -11,12 +11,14 @@ coordinates.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, isqrt
 
 from .arith import divisors, factorize, primes_up_to, xgcd
 from .intlattice import (
     IntMatrix,
     Lattice,
+    RowSolver,
     hnf,
     kernel,
     lattice_from_rows,
@@ -72,7 +74,7 @@ def nu_inf(n: int) -> int:
 
 def genus_x0(n: int) -> int:
     g12 = 12 + index_mu(n) - 3 * nu2(n) - 4 * nu3(n) - 6 * nu_inf(n)
-    assert g12 % 12 == 0
+    require(g12 % 12 == 0, f"genus formula is not integral at level {n}")
     return g12 // 12
 
 
@@ -160,8 +162,7 @@ def lift_to_sl2(c: int, d: int, N: int) -> tuple[int, int, int, int]:
     while gcd(cc, dd) != 1:
         k += 1
         dd = d + k * N
-        if k > 4 * cc + 4:
-            raise AssertionError(f"no coprime lift for ({c}:{d}) mod {N}")
+        require(k <= 4 * cc + 4, f"no coprime lift for ({c}:{d}) mod {N}")
     x, y, g = xgcd(dd, cc)
     assert g == 1
     return (x, -y, cc, dd)
@@ -221,16 +222,9 @@ def merel_matrices(n: int):
                         yield (a, b, bc // b, d)
 
 
-def _iround(a: int, b: int) -> int:
-    """Nearest integer to a/b (ties away from the floor)."""
-    if b < 0:
-        a, b = -a, -b
-    return (2 * a + b) // (2 * b)
-
-
 def heilbronn_cremona(p: int):
-    """Cremona's Heilbronn family of determinant p (p prime, used for good
-    primes; much denser enumeration than Merel's set)."""
+    """Cremona's Heilbronn family of determinant p (p prime; smaller than
+    Merel's set, and used for primes not dividing the level)."""
     if p == 2:
         return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
     out = [(1, 0, 0, p)]
@@ -239,7 +233,7 @@ def heilbronn_cremona(p: int):
         a, b = -p, r
         out.append((x1, x2, y1, y2))
         while b:
-            q = _iround(a, b)
+            q = (2 * a + b) // (2 * b)  # a/b rounded, halves upward
             c = a - b * q
             a, b = -b, c
             x1, x2 = x2, q * x2 - x1
@@ -269,7 +263,6 @@ class ModSymSpace:
         self._lower_cache: dict[tuple[int, int], IntMatrix] = {}
         self._al_cache: dict[int, IntMatrix] = {}
         self._newforms = None
-        self._cusp_solver = None
 
     # -- presentation ------------------------------------------------------
 
@@ -401,40 +394,13 @@ class ModSymSpace:
             for row in kernel(mat).entries:
                 params.append({v: c for v, c in zip(res_vars, row) if c})
 
-        # resolve expressed variables against each parameter assignment
-        def resolve(assign: dict[int, int]) -> dict[int, int]:
-            val: dict[int, int] = dict(assign)
-            order: list[int] = []
-            state: dict[int, int] = {}
-
-            def visit(v: int):
-                stk = [v]
-                while stk:
-                    w = stk[-1]
-                    if state.get(w) == 2 or w in val and w not in exprs:
-                        stk.pop()
-                        continue
-                    if state.get(w) == 1:
-                        state[w] = 2
-                        order.append(w)
-                        stk.pop()
-                        continue
-                    state[w] = 1
-                    if w in exprs:
-                        for dep in exprs[w]:
-                            if state.get(dep, 0) == 0:
-                                stk.append(dep)
-
-            for v in exprs:
-                visit(v)
-            for v in order:
-                if v in exprs:
-                    val[v] = sum(c * val.get(w, 0) for w, c in exprs[v].items())
-            return val
-
+        # an expression names only variables still live when it was made, so
+        # reverse elimination order evaluates each after its dependencies
         rows = []
         for assign in params:
-            val = resolve(assign)
+            val = dict(assign)
+            for v in reversed(exprs):
+                val[v] = sum(c * val.get(w, 0) for w, c in exprs[v].items())
             full = [0] * mu
             for i in range(mu):
                 v = rep[i]
@@ -445,7 +411,8 @@ class ModSymSpace:
 
         coords = hnf(IntMatrix.from_rows(rows, mu)) if rows else IntMatrix.from_rows([])
         expected = 2 * self.genus + nu_inf(self.level) - 1
-        assert coords.rows == expected, (self.level, coords.rows, expected)
+        require(coords.rows == expected, f"coordinate rank {coords.rows} at level "
+                                         f"{self.level}, expected {expected}")
         self.coords = coords
         self.rank = coords.rows
         # column j of coords as its nonzero (row, value) pairs
@@ -493,6 +460,23 @@ class ModSymSpace:
         for idx, coef in combo.items():
             for t, x in self._coord_cols[idx]:
                 out[t] += coef * x
+        return out
+
+    def formal_sum(self, cls) -> dict[int, int]:
+        """A formal sum of pivot symbols whose class is `cls`.
+
+        The pivot columns of coords are upper triangular, so the coefficients
+        come from back-substitution, last pivot first."""
+        rem = list(cls)
+        out: dict[int, int] = {}
+        for j in range(self.rank - 1, -1, -1):
+            pc = self._pivots[j]
+            q, r = divmod(rem[j], self.coords.entries[j][pc])
+            require(r == 0, "class is not an integral sum of Manin symbols")
+            if q:
+                out[pc] = q
+                for t, x in self._coord_cols[pc]:
+                    rem[t] -= q * x
         return out
 
     def _solve_and_check(self, image_class, out_rank: int) -> IntMatrix:
@@ -550,7 +534,8 @@ class ModSymSpace:
             ends.append((cusp_index(normalize_cusp(a, c)),
                          cusp_index(normalize_cusp(b, d))))
 
-        assert len(cusp_reps) == nu_inf(N), (N, len(cusp_reps))
+        require(len(cusp_reps) == nu_inf(N),
+                f"{len(cusp_reps)} cusp classes at level {N}, expected {nu_inf(N)}")
         self.cusps = cusp_reps
         ncusp = len(cusp_reps)
 
@@ -571,21 +556,23 @@ class ModSymSpace:
         bd = self._solve_and_check(boundary_of, ncusp)
         self.boundary = bd
         cusp_kernel = kernel(bd)
-        assert cusp_kernel.rows == 2 * self.genus, (self.level, cusp_kernel.rows)
+        require(cusp_kernel.rows == 2 * self.genus,
+                f"cuspidal rank {cusp_kernel.rows} at level {self.level}, "
+                f"expected {2 * self.genus}")
         self.cuspidal_basis = cusp_kernel
         self.cuspidal_lattice = Lattice(self.rank, cusp_kernel)
 
     # -- operators -----------------------------------------------------------
 
+    @cached_property
+    def _cusp_solver(self) -> RowSolver:
+        return RowSolver(self.cuspidal_basis)
+
     def _restrict_to_cuspidal(self, a: IntMatrix) -> IntMatrix:
         """R with a . B^T = B^T . R for the cuspidal basis B; must be exact."""
-        from .intlattice import RowSolver
-
         if self.cuspidal_basis.rows == 0:
             return IntMatrix.from_rows([])
         b = self.cuspidal_basis
-        if self._cusp_solver is None:
-            self._cusp_solver = RowSolver(b)
         a_cols = a.transpose().entries
         rows = []
         for brow in b.entries:
@@ -600,27 +587,36 @@ class ModSymSpace:
         return IntMatrix.from_rows(rows).transpose()
 
     def _hecke_images(self, m: int):
-        N = self.level
-        mats = list(merel_matrices(m))
-        p1 = self.p1
-        table = p1.table
+        """The map taking a formal sum {symbol: coef} to its image under T_m.
 
-        def image_of(i: int) -> dict[int, int]:
-            c, d = p1.pairs[i]
+        For a prime m not dividing the level this applies Cremona's Heilbronn
+        set; otherwise (composite m, or m | level) Merel's set."""
+        N = self.level
+        if N % m and factorize(m) == {m: 1}:
+            mats = heilbronn_cremona(m)
+        else:
+            mats = list(merel_matrices(m))
+        pairs = self.p1.pairs
+        table = self.p1.table
+
+        def image(combo: dict[int, int]) -> dict[int, int]:
             out: dict[int, int] = {}
-            for a, b, cc, dd in mats:
-                idx = table[(c * a + d * cc) % N][(c * b + d * dd) % N]
-                if idx >= 0:
-                    out[idx] = out.get(idx, 0) + 1
+            for i, coef in combo.items():
+                c, d = pairs[i]
+                for a, b, cc, dd in mats:
+                    idx = table[(c * a + d * cc) % N][(c * b + d * dd) % N]
+                    out[idx] = out.get(idx, 0) + coef
+            # pairs with gcd(c, d, N) > 1 are not symbols; the table maps them to -1
+            out.pop(-1, None)
             return out
 
-        return image_of
+        return image
 
     def hecke_on_coords(self, m: int) -> IntMatrix:
         if m not in self._hecke_coord_cache:
             images = self._hecke_images(m)
             self._hecke_coord_cache[m] = self._solve_and_check(
-                lambda i: self._class_of(images(i)), self.rank)
+                lambda i: self._class_of(images({i: 1})), self.rank)
         return self._hecke_coord_cache[m]
 
     def hecke_on_cuspidal(self, m: int) -> IntMatrix:
@@ -653,7 +649,7 @@ class ModSymSpace:
                 pk, qk, pm1, qm1 = quo * pk + pm1, quo * qk + qm1, pk, qk
             s = -1 if k % 2 == 0 else 1
             idx = self.p1.index(qk, s * qm1)
-            assert idx is not None
+            require(idx is not None, f"convergent ({qk}:{s * qm1}) is not in P^1")
             out.append(idx)
             k += 1
         assert (pk, qk) == (p, q)
@@ -670,12 +666,8 @@ class ModSymSpace:
 
     def to_cuspidal_coords(self, class_vec: list[int]) -> list[int]:
         """Express a (cuspidal) coordinate vector in the cuspidal basis."""
-        from .intlattice import RowSolver
-
-        if getattr(self, "_cusp_solver", None) is None:
-            self._cusp_solver = RowSolver(self.cuspidal_basis)
         sol = self._cusp_solver.solve(class_vec, integral=True)
-        assert sol is not None, "class is not in the cuspidal lattice"
+        require(sol is not None, "class is not in the cuspidal lattice")
         return sol
 
     def _mobius_operator(self, mat: tuple[int, int, int, int]) -> IntMatrix:
@@ -698,8 +690,8 @@ class ModSymSpace:
             w = (q * x, 1, -N * y, q)
             assert q * x * q - 1 * (-N * y) == q * (q * x + (N // q) * y) == q
             mat = self._restrict_to_cuspidal(self._mobius_operator(w))
-            ident = IntMatrix.identity(mat.rows)
-            assert mat * mat == ident, "Atkin-Lehner matrix is not an involution"
+            require(mat * mat == IntMatrix.identity(mat.rows),
+                    f"Atkin-Lehner w_{q} is not an involution at level {N}")
             self._al_cache[q] = mat
         return self._al_cache[q]
 
@@ -735,12 +727,8 @@ class ModSymSpace:
             return target.path_class(lo, hi)
 
         raw = self._solve_and_check(image_class, target.rank)
-
-        # restrict: raw . B_N^T = B_M^T . out
-        lhs = self.cuspidal_basis * raw.transpose()
-        out_t = solve_in_rowspace(target.cuspidal_basis, lhs, integral=True)
-        assert out_t is not None, "degeneracy image is not cuspidal-integral"
-        out = out_t.transpose()
+        out = restrict(self.cuspidal_basis, raw, target.cuspidal_basis,
+                       "degeneracy image is not cuspidal-integral")
         self._lower_cache[key] = out
         return out
 
@@ -760,7 +748,8 @@ class ModSymSpace:
         for c, d in self.p1.pairs:
             if c % M == 0:
                 reps.append(lift_to_sl2(c, d, N))
-        assert len(reps) * index_mu(M) == index_mu(N)
+        require(len(reps) * index_mu(M) == index_mu(N),
+                f"{len(reps)} coset representatives for level {M} in level {N}")
         if source.cuspidal_basis.rows == 0 or self.cuspidal_basis.rows == 0:
             return IntMatrix.from_rows(
                 [[0] * source.cuspidal_basis.rows
@@ -777,10 +766,8 @@ class ModSymSpace:
             return out
 
         raw = source._solve_and_check(image_class, self.rank)
-        lhs = source.cuspidal_basis * raw.transpose()
-        out_t = solve_in_rowspace(self.cuspidal_basis, lhs, integral=True)
-        assert out_t is not None, "transfer image is not cuspidal-integral"
-        return out_t.transpose()
+        return restrict(source.cuspidal_basis, raw, self.cuspidal_basis,
+                        "transfer image is not cuspidal-integral")
 
     def new_subspace(self) -> Lattice:
         """Saturated kernel of all level-lowering maps to N/p, both optands."""
@@ -816,15 +803,13 @@ class ModSymSpace:
             if basis.rows == 0:
                 return
             if pidx == len(plist):
-                assert basis.rows == 2, \
-                    f"rational system of rank {basis.rows} at level {self.level}"
+                require(basis.rows == 2,
+                        f"rational system of rank {basis.rows} at level {self.level}")
                 found.append((ap, basis))
                 return
             p = plist[pidx]
-            big = self.hecke_on_cuspidal(p)
-            r_t = solve_in_rowspace(basis, basis * big.transpose(), integral=True)
-            assert r_t is not None, "T_p does not preserve the lattice"
-            restricted = r_t.transpose()
+            restricted = restrict(basis, self.hecke_on_cuspidal(p), basis,
+                                  f"T_{p} does not preserve the lattice")
             for lam in _eigenvalue_candidates(p, self.level):
                 shifted = restricted - IntMatrix.identity(basis.rows).scale(lam)
                 ker = kernel(shifted)
@@ -839,12 +824,11 @@ class ModSymSpace:
             sign_w = {}
             for p, e in factorize(self.level).items():
                 q = p**e
-                w = self.atkin_lehner(q)
-                r_t = solve_in_rowspace(basis, basis * w.transpose(), integral=True)
-                assert r_t is not None
-                eps = r_t.entries[0][0]
-                assert r_t == IntMatrix.identity(2).scale(eps) and eps in (1, -1), \
-                    "Atkin-Lehner does not act as +-1 on an eigenspace"
+                r = restrict(basis, self.atkin_lehner(q), basis,
+                             f"w_{q} does not preserve an eigenspace")
+                eps = r.entries[0][0]
+                require(r == IntMatrix.identity(2).scale(eps) and eps in (1, -1),
+                        "Atkin-Lehner does not act as +-1 on an eigenspace")
                 sign_w[q] = eps
             nf = RationalNewform(
                 level=self.level,
@@ -857,6 +841,15 @@ class ModSymSpace:
             out.append(nf)
         self._newforms = out
         return out
+
+
+def restrict(src: IntMatrix, op: IntMatrix, dst: IntMatrix, what: str) -> IntMatrix:
+    """The R with op . src^T = dst^T . R, for lattice bases src and dst (as
+    rows); raises InvariantError(what) when op does not map the span of src
+    into the lattice of dst."""
+    r_t = solve_in_rowspace(dst, src * op.transpose(), integral=True)
+    require(r_t is not None, what)
+    return r_t.transpose()
 
 
 def _eigenvalue_candidates(p: int, N: int):

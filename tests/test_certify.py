@@ -40,6 +40,13 @@ def crit_map(rec, computed):
     return {c.rule: c for c in evaluate_criteria(rec, computed)}
 
 
+def test_conductor_factorization_is_computed_once():
+    rec = record((0, 0, 1, -1, 0), 37 * 4, degree=2)
+    first = rec.conductor_factorization
+    assert first == {2: 2, 37: 1}
+    assert rec.conductor_factorization is first
+
+
 def test_mk2_on_odd_conductor():
     c = crit_map(R11, {})
     assert c["MK2"].applicable is True

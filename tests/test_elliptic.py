@@ -63,6 +63,30 @@ def test_two_torsion_ranks():
     assert two_torsion_rank(minimal_model_from_ainvs((1, 0, 1, 4, -6))) == 1
 
 
+def test_cubic_rational_roots_match_fraction_evaluation():
+    """Seeded random cubics (t x - s) * (a x^2 + b x + c) with a planted root
+    s/t: the integer root test finds exactly the candidates s/t that vanish
+    in Fraction arithmetic, the planted one among them."""
+    import random
+
+    from manincert.arith import divisors
+
+    rng = random.Random(20240607)
+    for _ in range(300):
+        t = rng.randint(1, 12)
+        s = rng.choice([-1, 1]) * rng.randint(1, 30)
+        a = rng.choice([-1, 1]) * rng.randint(1, 8)
+        b, c = rng.randint(-40, 40), rng.choice([-1, 1]) * rng.randint(1, 40)
+        coeffs = (t * a, t * b - s * a, t * c - s * b, -s * c)
+        c3, c2, c1, c0 = coeffs
+        expected = sorted({x for n in divisors(abs(c0)) for d in divisors(abs(c3))
+                           for x in (Fraction(n, d), Fraction(-n, d))
+                           if ((c3 * x + c2) * x + c1) * x + c0 == 0})
+        roots = elliptic._rational_roots_of_integer_cubic(coeffs)
+        assert roots == expected, coeffs
+        assert Fraction(s, t) in roots
+
+
 def test_point_counts_and_ap():
     m11 = minimal_model_from_ainvs(E11)
     assert count_points(m11, 2) == 5

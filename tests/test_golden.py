@@ -4,8 +4,10 @@
 The certificates under tests/golden/ were recorded from the CLI before the
 sparse Manin-symbol layer, the numeric outputs (numeric_<label>.json)
 before the table-driven point counts and the fraction-free rational solve,
-and the census outputs (census_<bound>.json) before the census was staged
-on the certificate criteria.  Any change to a certified value, to a census
+the census outputs (census_<bound>.json) before the census was staged
+on the certificate criteria, and the analyze outputs (analyze_<level>.json)
+before good-prime Hecke images moved from Merel's set to Cremona's
+Heilbronn set.  Any change to a certified value, to a census
 stage, to a floating-point period result or to the JSON layout shows up
 here.
 """
@@ -31,6 +33,13 @@ def test_golden_certificate(label, capsys):
 def test_golden_numeric(label, capsys):
     code = main(["--format", "json", "numeric", "--label", label])
     assert capsys.readouterr().out == (GOLDEN / f"numeric_{label}.json").read_text()
+    assert code == 0
+
+
+@pytest.mark.parametrize("level", [54, 198])
+def test_golden_analyze(level, capsys):
+    code = main(["--format", "json", "analyze", str(level)])
+    assert capsys.readouterr().out == (GOLDEN / f"analyze_{level}.json").read_text()
     assert code == 0
 
 
