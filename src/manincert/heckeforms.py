@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import gcd
 
 from .arith import factorize, primes_up_to
 from .intlattice import (
@@ -21,6 +22,7 @@ from .intlattice import (
     hnf,
     kernel,
     lattice_from_rows,
+    lattice_intersect,
     lattice_sum,
     quotient_order,
     require,
@@ -101,12 +103,12 @@ def eigen_ap_provider(space, f: RationalNewform):
     for p in sorted(f.ap):
         a_full = space.hecke_on_coords(p)
         shifted = a_full.transpose() - IntMatrix.identity(k).scale(f.ap[p])
-        ker = kernel(shifted)
-        left = ker if left is None else _intersect_rowspans(left, ker)
-        if left.rows == 2:
+        ker = Lattice(k, kernel(shifted))
+        left = ker if left is None else lattice_intersect(left, ker)
+        if left.rank == 2:
             break
-    require(left is not None and left.rows == 2, "dual eigenspace has wrong rank")
-    w = left.entries[0]
+    require(left is not None and left.rank == 2, "dual eigenspace has wrong rank")
+    w = left.basis.entries[0]
     # u as a functional on formal symbol sums: u = w . K
     u = [sum(w[t] * space.coords.entries[t][j] for t in range(k))
          for j in range(space.mu)]
@@ -122,15 +124,6 @@ def eigen_ap_provider(space, f: RationalNewform):
         return q
 
     return provider
-
-
-def _intersect_rowspans(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = a.cols
-    la = lattice_from_rows(n, a.entries)
-    lb = lattice_from_rows(n, b.entries)
-    from .intlattice import lattice_intersect
-
-    return lattice_intersect(la, lb).basis
 
 
 def extend_an(f: RationalNewform, n: int) -> int:
@@ -176,11 +169,8 @@ class HeckeAlgebra:
         self.level = N
         self.space = build_space(N)
         self.genus = self.space.genus
-        self.sturm = self.precision = sturm_bound(N)
-        self._probe_vectors: list[dict[int, int]] = []
-        self._h: IntMatrix | None = None  # HNF of the probe rows of T
-        self._h_solver: RowSolver | None = None
-        self._build(self.precision)
+        self.sturm = self.precision = sturm_bound(N)  # perfbench reads `precision`
+        self._build()
 
     def _cuspidal_sections(self, count: int) -> list[dict[int, int]]:
         """Formal-symbol lifts of the first `count` cuspidal basis vectors."""
@@ -194,17 +184,13 @@ class HeckeAlgebra:
             row.extend(self.space._class_of(images(vec)))
         return row
 
-    def _build(self, precision: int):
+    def _build(self):
         g = self.genus
-        if g == 0:
-            self.basis_coeffs = IntMatrix.from_rows([])
-            self.precision = max(precision, self.precision)
-            return
-        nvec = len(self._probe_vectors) or 1
+        nvec = 1
         while True:
             self._probe_vectors = self._cuspidal_sections(nvec)
             probe = IntMatrix.from_rows(
-                [self._probe_of(n) for n in range(1, precision + 1)]
+                [self._probe_of(n) for n in range(1, self.sturm + 1)]
             )
             h = hnf(probe)
             if h.rows == g:
@@ -212,22 +198,17 @@ class HeckeAlgebra:
             require(nvec < self.space.cuspidal_basis.rows,
                     f"probe map not faithful at level {self.level}")
             nvec = min(2 * nvec, self.space.cuspidal_basis.rows)
-        if self._h is not None:
-            # rebuilds at higher precision must keep the same coordinates:
-            # the probe row lattice is already complete at the Sturm bound
-            require(h == self._h, "Hecke-algebra basis changed under extension")
-        self._h = h
-        coeffs = solve_in_rowspace(h, probe, integral=True)
-        require(coeffs is not None, "T_n outside the Z-span of the Sturm set")
+        self._h = h  # HNF of the probe rows of T
+        self._h_solver = RowSolver(h)
         # row i of the dual basis has a_n = coeffs[n-1][i]
+        coeffs = [self._solve_probe(row) for row in probe.entries]
         self.basis_coeffs = IntMatrix.from_rows(
-            [[coeffs.entries[n][i] for n in range(precision)] for i in range(g)]
-        )
-        self.precision = precision
+            [[c[i] for c in coeffs] for i in range(g)])
 
-    def extend_precision(self, precision: int):
-        if precision > self.precision:
-            self._build(precision)
+    def _solve_probe(self, probe_row) -> list[int]:
+        sol = self._h_solver.solve(probe_row, integral=True)
+        require(sol is not None, "T_n outside the Z-span of the Sturm set")
+        return sol
 
     def coefficient_basis(self, B: int) -> IntMatrix:
         """Canonical (HNF) basis of S_2(Z) truncated to a_1..a_B."""
@@ -235,9 +216,11 @@ class HeckeAlgebra:
             raise PrecisionError(
                 f"precision {B} is below the Sturm bound {self.sturm}"
             )
-        self.extend_precision(B)
+        extra = [self._solve_probe(self._probe_of(n))
+                 for n in range(self.sturm + 1, B + 1)]
         return hnf(IntMatrix.from_rows(
-            [row[:B] for row in self.basis_coeffs.entries]
+            [list(row) + [c[i] for c in extra]
+             for i, row in enumerate(self.basis_coeffs.entries)]
         ))
 
     def newform_coordinates(self, f: RationalNewform) -> list[int]:
@@ -262,8 +245,6 @@ class HeckeAlgebra:
         """
         a = self.space.hecke_on_coords(p).entries
         k = self.space.rank
-        if self._h_solver is None:
-            self._h_solver = RowSolver(self._h)
         rows = []
         for probe in self._h.entries:
             img: list[int] = []
@@ -291,24 +272,25 @@ def hecke_complement_rows(hecke: Callable[[int], IntMatrix], f: RationalNewform,
 
     `hecke(p)` is the matrix of T_p on column coordinate vectors of the
     lattice, and `target` the rank of the complement (the lattice rank less
-    the rank of f's isotypic part).  The span is accumulated as the sum over
-    primes p up to the Sturm bound of the stabilized images im((T_p - a_p)^k)
-    until the rank certificate `target` holds; a Sturm-bound separation
-    argument makes the partial sum exact once it does.
+    the rank of f's isotypic part).  The span is the running sum, over primes
+    p up to the Sturm bound, of the images im(T_p - a_p), returned once its
+    rank reaches `target`.  That sum is exact over Q.  The isotypic part V_f
+    is a Hecke-stable summand on which every T_p (U_p for p | N too) acts as
+    a_p, and by strong multiplicity one no oldform shares f's eigenvalues, so
+    the rest W of the space is Hecke-stable as well, also where U_p is not
+    semisimple.  Hence each image lies in W, and a sum of rank dim W =
+    `target` spans W.  Each image contains the stabilized image
+    im((T_p - a_p)^k), so the sum reaches `target` no later than the sum of
+    those.  Only the rational span of the rows is meant: callers saturate it
+    or take its kernel.
     """
     rows = IntMatrix.from_rows([])
     if target == 0:
         return rows
     for p in primes_up_to(max(sturm_bound(f.level), 2)):
         t = hecke(p)
-        op_t = (t - IntMatrix.identity(t.rows).scale(f.prime_eigenvalue(p))).transpose()
-        im = hnf(op_t)  # im(op^k) for k past stabilization
-        while im.rows:
-            nxt = hnf(im * op_t)
-            if nxt.rows == im.rows:
-                break
-            im = nxt
-        rows = hnf(stack(rows, im)) if rows.rows else im
+        shifted = t - IntMatrix.identity(t.rows).scale(f.prime_eigenvalue(p))
+        rows = hnf(stack(rows, shifted.transpose()))
         if rows.rows == target:
             return rows
         require(rows.rows < t.rows, "complement overflow")
@@ -342,11 +324,7 @@ def congruence_number(N: int, f: RationalNewform) -> int:
     if g == 1:
         return 1
     comp = isotypic_complement_on_dual(alg, f)
-    from math import gcd as _gcd
-
-    content = 0
-    for v in x:
-        content = _gcd(content, v)
+    content = gcd(*x)
     prim = [v // content for v in x]
     l1 = lattice_from_rows(g, [prim])
     l2 = subspace_integer_points(g, comp.entries)

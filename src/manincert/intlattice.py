@@ -395,13 +395,8 @@ def standard_lattice(ambient_rank: int) -> Lattice:
 
 def saturate(lat: Lattice) -> Lattice:
     """Smallest lattice containing lat with torsion-free quotient inside the
-    rational span intersected with Z^n: the double annihilator of the basis."""
-    if lat.rank == 0:
-        return lat
-    ann = kernel(lat.basis)
-    if ann.rows == 0:
-        return standard_lattice(lat.ambient_rank)
-    return Lattice(lat.ambient_rank, kernel(ann))
+    rational span intersected with Z^n."""
+    return subspace_integer_points(lat.ambient_rank, lat.basis.entries)
 
 
 def quotient_order(sup: Lattice, sub: Lattice):

@@ -53,7 +53,8 @@ class DegreeResult:
 def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
     n = space.cuspidal_basis.rows
     lf = f.eigenspace
-    assert lf.rank == 2 and saturate(lf) == lf
+    require(lf.rank == 2 and saturate(lf) == lf,
+            "newform eigenspace is not a saturated rank-2 lattice")
     comp = homology_complement(space, f)
     lperp = subspace_integer_points(n, comp.entries)
     total = lattice_sum(lf, lperp)
@@ -68,7 +69,8 @@ def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
         )
     if n > 2:
         quot_functionals = kernel(lperp.basis)  # identifies L/(L cap V_f-perp)
-        assert quot_functionals.rows == 2
+        require(quot_functionals.rows == 2, f"Hecke complement leaves a quotient "
+                                            f"of rank {quot_functionals.rows}, not 2")
         composite = quot_functionals * lf.basis.transpose()
     else:
         composite = lf.basis

@@ -23,7 +23,6 @@ from .intlattice import (
     kernel,
     lattice_from_rows,
     require,
-    solve_in_rowspace,
     stack,
 )
 
@@ -570,21 +569,8 @@ class ModSymSpace:
 
     def _restrict_to_cuspidal(self, a: IntMatrix) -> IntMatrix:
         """R with a . B^T = B^T . R for the cuspidal basis B; must be exact."""
-        if self.cuspidal_basis.rows == 0:
-            return IntMatrix.from_rows([])
-        b = self.cuspidal_basis
-        a_cols = a.transpose().entries
-        rows = []
-        for brow in b.entries:
-            # a . brow, summed over the few nonzero entries of the basis row
-            t = [0] * a.rows
-            for s, x in enumerate(brow):
-                if x:
-                    t = [o + x * y for o, y in zip(t, a_cols[s])]
-            sol = self._cusp_solver.solve(t, integral=True)
-            require(sol is not None, "operator does not preserve the cuspidal lattice")
-            rows.append(sol)
-        return IntMatrix.from_rows(rows).transpose()
+        return restrict(self.cuspidal_basis, a, self._cusp_solver,
+                        "operator does not preserve the cuspidal lattice")
 
     def _hecke_images(self, m: int):
         """The map taking a formal sum {symbol: coef} to its image under T_m.
@@ -670,13 +656,19 @@ class ModSymSpace:
         require(sol is not None, "class is not in the cuspidal lattice")
         return sol
 
-    def _mobius_operator(self, mat: tuple[int, int, int, int]) -> IntMatrix:
-        """Coordinate matrix of the path map {alpha, beta} -> {mat alpha, mat beta}."""
+    def _path_map(self, mats, target: "ModSymSpace") -> IntMatrix:
+        """Coordinate matrix, into `target`, of the path map
+        {alpha, beta} -> sum over m in mats of {m alpha, m beta}."""
         def image_class(i: int) -> list[int]:
             a, b, c, d = self.symbol_lift(i)
-            return self.path_class(mobius(mat, (b, d)), mobius(mat, (a, c)))
+            combo: dict[int, int] = {}
+            for m in mats:
+                for sgn, cusp in ((1, mobius(m, (a, c))), (-1, mobius(m, (b, d)))):
+                    for idx in target._zero_to(cusp):
+                        combo[idx] = combo.get(idx, 0) + sgn
+            return target._class_of(combo)
 
-        return self._solve_and_check(image_class, self.rank)
+        return self._solve_and_check(image_class, target.rank)
 
     def atkin_lehner(self, q_power: int) -> IntMatrix:
         """Matrix of w_q on the cuspidal lattice, for q_power || level."""
@@ -689,7 +681,7 @@ class ModSymSpace:
             assert g == 1
             w = (q * x, 1, -N * y, q)
             assert q * x * q - 1 * (-N * y) == q * (q * x + (N // q) * y) == q
-            mat = self._restrict_to_cuspidal(self._mobius_operator(w))
+            mat = self._restrict_to_cuspidal(self._path_map([w], self))
             require(mat * mat == IntMatrix.identity(mat.rows),
                     f"Atkin-Lehner w_{q} is not an involution at level {N}")
             self._al_cache[q] = mat
@@ -697,7 +689,7 @@ class ModSymSpace:
 
     def star_involution(self) -> IntMatrix:
         """The star involution {a, b} -> {-a, -b} on the cuspidal lattice."""
-        return self._restrict_to_cuspidal(self._mobius_operator((-1, 0, 0, 1)))
+        return self._restrict_to_cuspidal(self._path_map([(-1, 0, 0, 1)], self))
 
     # -- degeneracy maps and the new subspace --------------------------------
 
@@ -720,14 +712,8 @@ class ModSymSpace:
             self._lower_cache[key] = out
             return out
 
-        def image_class(i: int) -> list[int]:
-            a, b, c, cdd = self.symbol_lift(i)
-            lo = mobius((d, 0, 0, 1), (b, cdd))
-            hi = mobius((d, 0, 0, 1), (a, c))
-            return target.path_class(lo, hi)
-
-        raw = self._solve_and_check(image_class, target.rank)
-        out = restrict(self.cuspidal_basis, raw, target.cuspidal_basis,
+        raw = self._path_map([(d, 0, 0, 1)], target)
+        out = restrict(self.cuspidal_basis, raw, target._cusp_solver,
                        "degeneracy image is not cuspidal-integral")
         self._lower_cache[key] = out
         return out
@@ -754,20 +740,8 @@ class ModSymSpace:
             return IntMatrix.from_rows(
                 [[0] * source.cuspidal_basis.rows
                  for _ in range(self.cuspidal_basis.rows)])
-        def image_class(i: int) -> list[int]:
-            a, b, c, dd = source.symbol_lift(i)
-            out = [0] * self.rank
-            for r in reps:
-                lo = mobius(r, (b, dd))
-                hi = mobius(r, (a, c))
-                part = self.path_class(lo, hi)
-                for t in range(self.rank):
-                    out[t] += part[t]
-            return out
-
-        raw = source._solve_and_check(image_class, self.rank)
-        return restrict(source.cuspidal_basis, raw, self.cuspidal_basis,
-                        "transfer image is not cuspidal-integral")
+        return restrict(source.cuspidal_basis, source._path_map(reps, self),
+                        self._cusp_solver, "transfer image is not cuspidal-integral")
 
     def new_subspace(self) -> Lattice:
         """Saturated kernel of all level-lowering maps to N/p, both optands."""
@@ -808,7 +782,7 @@ class ModSymSpace:
                 found.append((ap, basis))
                 return
             p = plist[pidx]
-            restricted = restrict(basis, self.hecke_on_cuspidal(p), basis,
+            restricted = restrict(basis, self.hecke_on_cuspidal(p), RowSolver(basis),
                                   f"T_{p} does not preserve the lattice")
             for lam in _eigenvalue_candidates(p, self.level):
                 shifted = restricted - IntMatrix.identity(basis.rows).scale(lam)
@@ -822,9 +796,10 @@ class ModSymSpace:
         out = []
         for ap, basis in found:
             sign_w = {}
+            solver = RowSolver(basis)
             for p, e in factorize(self.level).items():
                 q = p**e
-                r = restrict(basis, self.atkin_lehner(q), basis,
+                r = restrict(basis, self.atkin_lehner(q), solver,
                              f"w_{q} does not preserve an eigenspace")
                 eps = r.entries[0][0]
                 require(r == IntMatrix.identity(2).scale(eps) and eps in (1, -1),
@@ -843,13 +818,22 @@ class ModSymSpace:
         return out
 
 
-def restrict(src: IntMatrix, op: IntMatrix, dst: IntMatrix, what: str) -> IntMatrix:
+def restrict(src: IntMatrix, op: IntMatrix, dst_solver: RowSolver, what: str) -> IntMatrix:
     """The R with op . src^T = dst^T . R, for lattice bases src and dst (as
-    rows); raises InvariantError(what) when op does not map the span of src
-    into the lattice of dst."""
-    r_t = solve_in_rowspace(dst, src * op.transpose(), integral=True)
-    require(r_t is not None, what)
-    return r_t.transpose()
+    rows, dst through its RowSolver); raises InvariantError(what) when op does
+    not map the span of src into the lattice of dst."""
+    op_cols = op.transpose().entries
+    rows = []
+    for srow in src.entries:
+        # op . srow, summed over the nonzero entries of the basis row
+        t = [0] * op.rows
+        for s, x in enumerate(srow):
+            if x:
+                t = [o + x * y for o, y in zip(t, op_cols[s])]
+        sol = dst_solver.solve(t, integral=True)
+        require(sol is not None, what)
+        rows.append(sol)
+    return IntMatrix.from_rows(rows).transpose()
 
 
 def _eigenvalue_candidates(p: int, N: int):

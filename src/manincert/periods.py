@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arith import xgcd
 from .heckeforms import RationalNewform, extend_an, homology_complement
-from .intlattice import IntMatrix, kernel, solve_in_rowspace
+from .intlattice import IntMatrix, kernel, require, solve_in_rowspace
 from .modsym import ModSymSpace
 
 
@@ -359,9 +359,10 @@ def newform_period_lattice(space: ModSymSpace, f: RationalNewform,
             [list(r) for r in comp.entries], n2g))
     else:
         quot = IntMatrix.identity(n2g)
-    assert quot.rows == 2
+    require(quot.rows == 2,
+            f"Hecke complement leaves a quotient of rank {quot.rows}, not 2")
     lifts = solve_in_rowspace(quot.transpose(), IntMatrix.identity(2), integral=True)
-    assert lifts is not None, "quotient coordinate map is not surjective"
+    require(lifts is not None, "quotient coordinate map is not surjective")
     calc = NewformPeriods(space, f, tol)
     w1, w2 = calc.periods_of_rows(lifts.tolists(), tol)
     if (w1.conjugate() * w2).imag == 0:

@@ -18,7 +18,9 @@ from manincert.intlattice import (
     quotient_order,
     snf_diagonal,
     solve_in_rowspace,
+    stack,
     standard_lattice,
+    subspace_integer_points,
 )
 from manincert.arith import primes_up_to
 from manincert.modsym import build_space
@@ -218,3 +220,53 @@ def test_degree_divides_congruence_number_sample():
         for f in s.rational_eigenspaces():
             deg = modular_degree(s, f).degree
             assert congruence_number(n, f) % deg == 0
+
+
+def _stabilized_complement_rows(hecke, f, target):
+    """Reference Hecke complement: the sum of the stabilized images
+    im((T_p - a_p)^k), k past stabilization, over primes up to the Sturm
+    bound, until the sum has rank `target`."""
+    rows = IntMatrix.from_rows([])
+    for p in primes_up_to(max(sturm_bound(f.level), 2)):
+        t = hecke(p)
+        op_t = (t - IntMatrix.identity(t.rows).scale(f.prime_eigenvalue(p))).transpose()
+        im = hnf(op_t)
+        while im.rows:
+            nxt = hnf(im * op_t)
+            if nxt.rows == im.rows:
+                break
+            im = nxt
+        rows = hnf(stack(rows, im)) if rows.rows else im
+        if rows.rows == target:
+            return rows
+    raise AssertionError(f"reference complement stops at rank {rows.rows}")
+
+
+@pytest.mark.parametrize("n", (40, 48, 54, 56, 64, 72, 80))
+def test_complement_matches_stabilized_reference(n):
+    """The sum of plain images im(T_p - a_p) saturates to the same lattice as
+    the sum of stabilized images, in the cuspidal homology and in the dual
+    coordinates of S_2(Z), at levels where some U_p is not semisimple."""
+    space = build_space(n)
+    alg = hecke_algebra(n)
+    sides = ((space.hecke_on_cuspidal, space.cuspidal_basis.rows, 2),
+             (alg.hecke_matrix_on_dual, alg.genus, 1))
+    for f in space.rational_eigenspaces():
+        for hecke, rank, f_rank in sides:
+            got = heckeforms.hecke_complement_rows(hecke, f, rank - f_rank)
+            ref = _stabilized_complement_rows(hecke, f, rank - f_rank)
+            assert subspace_integer_points(rank, got.entries) == \
+                subspace_integer_points(rank, ref.entries), (n, rank)
+
+
+def test_u2_at_level_56_is_not_semisimple():
+    """im(U_2 - a_2) has rank 4 on the cuspidal homology at 56, and its
+    stabilized image rank 2: the reference comparison above covers a U_p
+    whose plain image is larger than the stabilized one."""
+    space = build_space(56)
+    for f in space.rational_eigenspaces():
+        t = space.hecke_on_cuspidal(2)
+        op_t = (t - IntMatrix.identity(t.rows).scale(f.prime_eigenvalue(2))).transpose()
+        assert hnf(op_t).rows == 4
+        assert hnf(op_t * op_t).rows == 2
+        assert hnf(op_t * op_t * op_t).rows == 2

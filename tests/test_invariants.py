@@ -113,3 +113,20 @@ def test_atkin_lehner_invariance_of_index_level_57():
         w = s.atkin_lehner(q)
         for f in s.rational_eigenspaces():
             assert hnf(f.eigenspace.basis * w.transpose()) == f.eigenspace.basis
+
+
+def test_wrong_rank_complement_is_invariant_error(monkeypatch):
+    """A Hecke complement that also holds a vector of f's eigenspace leaves a
+    rank-1 quotient; at 57 the homology index is still a square, so the
+    quotient-rank check is what catches it."""
+    from manincert import invariants
+    from manincert.heckeforms import homology_complement
+    from manincert.intlattice import IntMatrix, InvariantError, stack
+
+    s = build_space(57)
+    f = s.rational_eigenspaces()[0]
+    bad = stack(homology_complement(s, f),
+                IntMatrix.from_rows(f.eigenspace.basis.entries[:1]))
+    monkeypatch.setattr(invariants, "homology_complement", lambda space, g: bad)
+    with pytest.raises(InvariantError, match="quotient of rank 1"):
+        modular_degree(s, f)

@@ -89,6 +89,18 @@ def test_hecke_on_coords_matches_merel_set():
                 assert t.matvec(s._class_of({i: 1})) == s._class_of(combo), (n, p, i)
 
 
+def test_hecke_on_coords_matches_double_coset_paths():
+    """Both Heilbronn families (Cremona's for p not dividing N, Merel's for
+    p | N) give T_p as the double coset defines it on paths:
+    {a, b} -> sum of {m a, m b} over m = [[1, j], [0, p]], 0 <= j < p, and
+    m = [[p, 0], [0, 1]] when p does not divide N."""
+    for n in range(1, 41):
+        s = build_space(n)
+        for p in (2, 3, 5, 7, 11, 13):
+            mats = [(1, j, 0, p) for j in range(p)] + ([(p, 0, 0, 1)] if n % p else [])
+            assert s._path_map(mats, s) == s.hecke_on_coords(p), (n, p)
+
+
 def test_formal_sum_lifts_cuspidal_basis():
     for n in (11, 54, 130, 198):
         s = build_space(n)

@@ -162,3 +162,17 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
         assert copy._complement is None
         assert heckeforms.homology_complement(s, copy) == f._complement
         assert len(calls) == 2
+
+
+def test_wrong_rank_complement_is_invariant_error(monkeypatch):
+    """A Hecke complement short of one row leaves a rank-3 quotient, which
+    the period lattice refuses with a typed error."""
+    from manincert import periods
+    from manincert.intlattice import IntMatrix, InvariantError
+
+    s = build_space(37)
+    f = s.rational_eigenspaces()[0]
+    short = IntMatrix.from_rows(heckeforms.homology_complement(s, f).entries[1:])
+    monkeypatch.setattr(periods, "homology_complement", lambda space, g: short)
+    with pytest.raises(InvariantError, match="quotient of rank 3"):
+        newform_period_lattice(s, f, 1e-9)
