@@ -131,7 +131,8 @@ def minimal_model(w: WeierstrassModel) -> MinimalModel:
         u_den *= p**e
     c4i = c4 * u_den**4
     c6i = c6 * u_den**6
-    assert c4i.denominator == 1 and c6i.denominator == 1
+    require(c4i.denominator == 1 and c6i.denominator == 1,
+            "scaled c-invariants are not integral")
     c4i, c6i = int(c4i), int(c6i)
 
     # Maximize the rational scaling u = d/w (w | 6: obstructions to realizing
@@ -158,13 +159,15 @@ def minimal_model(w: WeierstrassModel) -> MinimalModel:
                 if got is not None:
                     best = (u, got)
                     break
-    assert best is not None, "no Kraus-valid reduction found"
+    require(best is not None, "no Kraus-valid reduction found")
     _, ainvs = best
     mm = WeierstrassModel.from_ainvs(ainvs)
     dmin = mm.discriminant()
-    assert dmin.denominator == 1 and dmin != 0
+    require(dmin.denominator == 1 and dmin != 0,
+            "minimal discriminant is not a nonzero integer")
     cc4, cc6 = mm.c_invariants()
-    assert int(cc4) ** 3 - int(cc6) ** 2 == 1728 * int(dmin)
+    require(int(cc4) ** 3 - int(cc6) ** 2 == 1728 * int(dmin),
+            "c4^3 - c6^2 != 1728 Delta on the minimal model")
     return MinimalModel(*ainvs, c4=int(cc4), c6=int(cc6), delta_min=int(dmin))
 
 
@@ -175,7 +178,7 @@ def minimal_model_from_ainvs(ainvs) -> MinimalModel:
 def _rational_roots_of_integer_cubic(coeffs):
     """Rational roots of c3 x^3 + c2 x^2 + c1 x + c0 (integer coefficients)."""
     c3, c2, c1, c0 = coeffs
-    assert c3 != 0
+    require(c3 != 0, "cubic has zero leading coefficient")
     if c0 == 0:
         rest = _rational_roots_of_quadratic(c3, c2, c1)
         return sorted(set([Fraction(0)] + rest))
@@ -209,7 +212,7 @@ def two_torsion_rank(m: MinimalModel) -> int:
     b2, b4, b6, _ = m.b_invariants()
     roots = _rational_roots_of_integer_cubic((4, int(b2), 2 * int(b4), int(b6)))
     n = len(roots)
-    assert n in (0, 1, 3)
+    require(n in (0, 1, 3), f"2-division cubic has {n} rational roots")
     return {0: 0, 1: 1, 3: 2}[n]
 
 

@@ -43,6 +43,9 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "IntMatrix":
+        """A matrix from rows of integer-like values, each coerced with int()
+        and the widths checked.  Int rows that this module built itself skip
+        the coercion and go to the constructor directly."""
         tup = tuple(tuple(int(x) for x in r) for r in rows)
         if tup:
             widths = {len(r) for r in tup}
@@ -159,14 +162,14 @@ def hnf(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form with zero rows removed."""
     rows = m.tolists()
     pivots, _ = _hnf_work(rows, transform=False)
-    return IntMatrix.from_rows(rows[: len(pivots)], m.cols if m.rows else None)
+    return IntMatrix(tuple(map(tuple, rows[: len(pivots)])))
 
 
 def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
     """Return (H, U, pivots) with U*m = H, U unimodular, zero rows kept."""
     rows = m.tolists()
     pivots, u = _hnf_work(rows, transform=True)
-    return IntMatrix.from_rows(rows), IntMatrix.from_rows(u), pivots
+    return IntMatrix(tuple(map(tuple, rows))), IntMatrix(tuple(map(tuple, u))), pivots
 
 
 def kernel(m: IntMatrix) -> IntMatrix:
@@ -178,7 +181,7 @@ def kernel(m: IntMatrix) -> IntMatrix:
     h, u, pivots = hnf_with_transform(m.transpose())
     rk = len(pivots)
     ker_rows = u.entries[rk:]
-    return hnf(IntMatrix.from_rows(ker_rows, m.cols)) if ker_rows else IntMatrix.from_rows([])
+    return hnf(IntMatrix(ker_rows)) if ker_rows else IntMatrix(())
 
 
 def det(m: IntMatrix) -> int:

@@ -764,6 +764,13 @@ class ModSymSpace:
     # -- rational eigenspaces -------------------------------------------------
 
     def rational_eigenspaces(self):
+        """The rational newforms of the level, each with its rank-2 eigenspace.
+
+        The new cuspidal lattice is split by kernels of T_p - a_p, p up to
+        the Sturm bound, until each piece has rank 2.  Such a piece is
+        Hecke-stable, so by multiplicity one it is the isotypic part of a
+        single rational newform, whose a_p are then read off one vector
+        (see `_eigenvector_ap`)."""
         from .heckeforms import RationalNewform, sturm_bound
 
         if self._newforms is not None:
@@ -776,7 +783,7 @@ class ModSymSpace:
         def split(basis: IntMatrix, ap: dict[int, int], pidx: int):
             if basis.rows == 0:
                 return
-            if pidx == len(plist):
+            if basis.rows == 2 or pidx == len(plist):
                 require(basis.rows == 2,
                         f"rational system of rank {basis.rows} at level {self.level}")
                 found.append((ap, basis))
@@ -792,9 +799,8 @@ class ModSymSpace:
                     split(sub, {**ap, p: lam}, pidx + 1)
 
         split(new.basis, {}, 0)
-        found.sort(key=lambda t: tuple(t[0][p] for p in plist))
         out = []
-        for ap, basis in found:
+        for split_ap, basis in found:
             sign_w = {}
             solver = RowSolver(basis)
             for p, e in factorize(self.level).items():
@@ -805,17 +811,46 @@ class ModSymSpace:
                 require(r == IntMatrix.identity(2).scale(eps) and eps in (1, -1),
                         "Atkin-Lehner does not act as +-1 on an eigenspace")
                 sign_w[q] = eps
-            nf = RationalNewform(
+            out.append(RationalNewform(
                 level=self.level,
-                ap=dict(ap),
+                ap=self._eigenvector_ap(basis, split_ap, sign_w, max(bound, 7)),
                 eigenspace=Lattice(self.cuspidal_basis.rows, basis),
                 sign_w=sign_w,
-            )
-            for p in primes_up_to(max(bound, 7)):
-                nf.prime_eigenvalue(p)
-            out.append(nf)
+            ))
+        out.sort(key=lambda f: tuple(f.ap[p] for p in plist))
         self._newforms = out
         return out
+
+    def _eigenvector_ap(self, basis: IntMatrix, split_ap: dict[int, int],
+                        sign_w: dict[int, int], limit: int) -> dict[int, int]:
+        """The a_p, p <= limit in increasing order, of the rational newform
+        whose rank-2 eigenspace has row basis `basis` (cuspidal coordinates).
+
+        x is the class of basis row 0, lifted to pivot symbols once; each a_p
+        comes from the T_p image of that one formal sum, under the exact
+        check T_p x = a_p x.  The same check runs at every p | level (U_p,
+        through Merel's set), where a_p must be -w_p for p || level and 0 for
+        p^2 | level; and each a_p must be the eigenvalue the split chose."""
+        N = self.level
+        x = self.cuspidal_basis.transpose().matvec(basis.entries[0])
+        combo = self.formal_sum(x)
+        j = next(j for j, v in enumerate(x) if v)
+        bad = factorize(N)
+        ap = {}
+        for p in sorted(set(primes_up_to(limit)) | set(bad)):
+            img = self._class_of(self._hecke_images(p)(combo))
+            a = img[j] // x[j]
+            require(img == [a * v for v in x],
+                    f"T_{p} does not act as a scalar on an eigenvector at level {N}")
+            require(split_ap.get(p, a) == a,
+                    f"a_{p} = {a} on an eigenvector, but the split chose {split_ap.get(p)}")
+            if p in bad:
+                e = bad[p]
+                require(a == (-sign_w[p] if e == 1 else 0),
+                        f"a_{p} = {a} disagrees with w_{p**e} = {sign_w[p**e]} at level {N}")
+            if p <= limit:
+                ap[p] = a
+        return ap
 
 
 def restrict(src: IntMatrix, op: IntMatrix, dst_solver: RowSolver, what: str) -> IntMatrix:

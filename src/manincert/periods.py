@@ -399,7 +399,7 @@ def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
                 z = z - k * best_re
                 if best_im is None or z.imag < best_im.imag - 1e-12 * scale:
                     best_im = z
-    assert best_im is not None
+    require(best_im is not None, "no period off the real axis: lattice is degenerate")
     ratio = best_im.real / best_re.real
     kind = "rectangular" if ratio < 0.25 else "non-rectangular"
     return PeriodLattice(best_re, best_im, kind, tol)

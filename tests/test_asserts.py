@@ -1,0 +1,46 @@
+"""No `assert` guards a certificate: `python -O` deletes asserts, so every
+load-bearing check in the package is a `require` (InvariantError, exit code
+7) or a typed error.  The asserts that stay state pure algebra facts that
+the lines just above them imply; each is named here by module, enclosing
+function and condition, so a new assert (or a moved one) fails this test.
+"""
+
+import ast
+from pathlib import Path
+
+import manincert
+
+ALLOWED = sorted([
+    # xgcd of coprime arguments returns gcd 1
+    ("modsym.py", "lift_to_sl2", "g == 1"),
+    ("modsym.py", "atkin_lehner", "g == 1"),
+    ("periods.py", "_gamma_candidates", "g == 1"),
+    # det w_q = q, from q x + (N/q) y = 1 just above
+    ("modsym.py", "atkin_lehner",
+     "q * x * q - 1 * (-N * y) == q * (q * x + N // q * y) == q"),
+    # the last continued-fraction convergent of p/q is p/q
+    ("modsym.py", "_zero_to", "(pk, qk) == (p, q)"),
+    # deg | r_f is checked with a typed error just above
+    ("invariants.py", "degree_congruence_gap", "gap >= 0"),
+])
+
+
+def package_asserts():
+    found = []
+
+    def walk(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, path, child.name)
+                continue
+            if isinstance(child, ast.Assert):
+                found.append((path.name, func, ast.unparse(child.test)))
+            walk(child, path, func)
+
+    for path in sorted(Path(manincert.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path, None)
+    return sorted(found)
+
+
+def test_only_allowlisted_asserts():
+    assert package_asserts() == ALLOWED

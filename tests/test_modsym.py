@@ -304,6 +304,74 @@ def test_rational_eigenspaces_examples():
     assert a2s == [-2, 0]
 
 
+def test_split_stops_at_rank_two():
+    """At 37, T_2 alone leaves two rank-2 pieces, so no other T_p is built
+    on the cuspidal lattice; the other a_p are read off one vector."""
+    s = ModSymSpace(37)
+    forms = s.rational_eigenspaces()
+    assert set(s._hecke_cusp_cache) == {2}
+    assert [list(f.ap) for f in forms] == [[2, 3, 5, 7]] * 2
+
+
+def test_split_short_of_primes_is_invariant_error(monkeypatch):
+    """With the Sturm bound cut to 1 only T_2 splits, and at 57 it leaves a
+    rank-4 piece: that must stay an error, not be taken for a newform."""
+    import manincert.heckeforms
+
+    monkeypatch.setattr(manincert.heckeforms, "sturm_bound", lambda n: 1)
+    with pytest.raises(InvariantError, match="rational system of rank 4"):
+        ModSymSpace(57).rational_eigenspaces()
+
+
+def test_wrong_hecke_image_on_eigenvector_is_invariant_error(monkeypatch):
+    """The split at 37 uses T_2 only; a T_5 image off by one Manin symbol
+    reaches only the one-vector check, which must catch it."""
+    s = ModSymSpace(37)
+    right = s._hecke_images
+
+    def images(m):
+        image = right(m)
+        if m != 5:
+            return image
+
+        def wrong(combo):
+            out = image(combo)
+            out[s._pivots[0]] = out.get(s._pivots[0], 0) + 1
+            return out
+
+        return wrong
+
+    monkeypatch.setattr(s, "_hecke_images", images)
+    with pytest.raises(InvariantError, match="T_5 does not act as a scalar"):
+        s.rational_eigenspaces()
+
+
+def test_eigenvector_check_rejects_wrong_split_eigenvalue():
+    s = build_space(54)
+    f = s.rational_eigenspaces()[0]
+    basis = f.eigenspace.basis
+    assert s._eigenvector_ap(basis, {2: f.ap[2], 5: f.ap[5]}, f.sign_w, 7) == \
+        {p: f.ap[p] for p in (2, 3, 5, 7)}
+    for p, wrong in ((5, f.ap[5] + 1), (2, -f.ap[2])):
+        with pytest.raises(InvariantError, match="the split chose"):
+            s._eigenvector_ap(basis, {p: wrong}, f.sign_w, 7)
+
+
+def test_eigenvector_check_ties_bad_primes_to_atkin_lehner():
+    """a_p = -w_p for p || N, checked on the eigenvector; here at 54 = 2 * 27
+    a flipped w_2 is caught.  At 130 the bad prime 13 is past the limit 7,
+    so it is checked but not stored."""
+    s = build_space(54)
+    f = s.rational_eigenspaces()[0]
+    with pytest.raises(InvariantError, match="disagrees with w_2"):
+        s._eigenvector_ap(f.eigenspace.basis, {}, {**f.sign_w, 2: -f.sign_w[2]}, 7)
+    s = build_space(130)
+    f = s.rational_eigenspaces()[0]
+    with pytest.raises(InvariantError, match="disagrees with w_13"):
+        s._eigenvector_ap(f.eigenspace.basis, {}, {**f.sign_w, 13: -f.sign_w[13]}, 7)
+    assert list(s._eigenvector_ap(f.eigenspace.basis, {}, f.sign_w, 7)) == [2, 3, 5, 7]
+
+
 def test_eigenspaces_are_saturated_rank_two():
     from manincert.intlattice import saturate
 
