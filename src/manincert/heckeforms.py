@@ -17,19 +17,14 @@ from math import gcd
 from .arith import factorize, primes_up_to
 from .intlattice import (
     IntMatrix,
+    InvariantError,
     Lattice,
     RowSolver,
     hnf,
     kernel,
-    lattice_from_rows,
-    lattice_intersect,
-    lattice_sum,
-    quotient_order,
     require,
     solve_in_rowspace,
     stack,
-    standard_lattice,
-    subspace_integer_points,
 )
 from .modsym import build_space, index_mu
 
@@ -38,7 +33,7 @@ class PrecisionError(ValueError):
     """Requested q-expansion precision below the Sturm bound."""
 
 
-class ComplementRankError(RuntimeError):
+class ComplementRankError(InvariantError):
     """The Hecke complement did not reach its certified rank by the Sturm
     bound: this signals a bug in the Hecke operators, not bad input."""
 
@@ -96,19 +91,12 @@ def eigen_ap_provider(space, f: RationalNewform):
     Builds an integer functional u on formal symbols that is a simultaneous
     left eigenvector for the Hecke action; then a_p = u(T_p w0)/u(w0) for any
     symbol w0 with u(w0) != 0, at the cost of one T_p image of w0 (Cremona's
-    Heilbronn set, since p does not divide the level).
+    Heilbronn set, since p does not divide the level).  The left eigenvectors
+    annihilate f's Hecke complement on class coordinates.
     """
     k = space.rank
-    left = None
-    for p in sorted(f.ap):
-        a_full = space.hecke_on_coords(p)
-        shifted = a_full.transpose() - IntMatrix.identity(k).scale(f.ap[p])
-        ker = Lattice(k, kernel(shifted))
-        left = ker if left is None else lattice_intersect(left, ker)
-        if left.rank == 2:
-            break
-    require(left is not None and left.rank == 2, "dual eigenspace has wrong rank")
-    w = left.basis.entries[0]
+    w = complement_annihilator(
+        hecke_complement_rows(space.hecke_on_coords, f, k - 2), k, 2).entries[0]
     # u as a functional on formal symbol sums: u = w . K
     u = [sum(w[t] * space.coords.entries[t][j] for t in range(k))
          for j in range(space.mu)]
@@ -316,20 +304,30 @@ def isotypic_complement_on_dual(alg: HeckeAlgebra, f: RationalNewform) -> IntMat
     return hecke_complement_rows(alg.hecke_matrix_on_dual, f, alg.genus - 1)
 
 
+def complement_annihilator(comp: IntMatrix, n: int, rank: int) -> IntMatrix:
+    """Saturated basis K of the functionals on Z^n that vanish on the span of
+    the Hecke complement `comp`, which must leave a quotient of rank `rank`.
+
+    v -> K v maps Z^n onto Z^rank with kernel Z^n cap span(comp), so for a
+    sublattice V of rank `rank` meeting that span in 0,
+    #( Z^n / (V + Z^n cap span(comp)) ) = |det(K V^T)|.
+    """
+    quot = kernel(comp) if comp.rows else IntMatrix.identity(n)
+    require(quot.rows == rank, f"Hecke complement leaves a quotient of rank "
+                               f"{quot.rows}, not {rank}")
+    return quot
+
+
 def congruence_number(N: int, f: RationalNewform) -> int:
-    """r_f = #( S / (S cap Q.f + S cap (Q.f)^perp) ) on the q-expansion lattice."""
+    """r_f = #( S / (S cap Q.f + S cap (Q.f)^perp) ) on the q-expansion lattice:
+    |det| of the line's image in S/S_perp, that is |k . x| / content(x) for
+    the primitive functional k annihilating the complement."""
     alg = hecke_algebra(N)
     g = alg.genus
     x = alg.newform_coordinates(f)
     if g == 1:
         return 1
-    comp = isotypic_complement_on_dual(alg, f)
-    content = gcd(*x)
-    prim = [v // content for v in x]
-    l1 = lattice_from_rows(g, [prim])
-    l2 = subspace_integer_points(g, comp.entries)
-    total = lattice_sum(l1, l2)
-    require(total.rank == g, "f-line meets its complement")
-    order = quotient_order(standard_lattice(g), total)
-    require(isinstance(order, int), "congruence quotient is infinite")
-    return order
+    (k,) = complement_annihilator(isotypic_complement_on_dual(alg, f), g, 1).entries
+    r_f = abs(sum(a * b for a, b in zip(k, x))) // gcd(*x)
+    require(r_f != 0, "f-line meets its complement")
+    return r_f

@@ -375,11 +375,6 @@ class Lattice:
         if self.basis.rows and self.basis.cols != self.ambient_rank:
             raise ValueError("basis width != ambient rank")
 
-    def contains(self, other: "Lattice") -> bool:
-        if other.rank == 0:
-            return True
-        return solve_in_rowspace(self.basis, other.basis, integral=True) is not None
-
 
 def lattice_from_rows(ambient_rank: int, rows) -> Lattice:
     mat = IntMatrix.from_rows(rows, ambient_rank if rows else None)
@@ -441,12 +436,6 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
         rows.append([sum(x[i] * a.basis.entries[i][j] for i in range(a.rank))
                      for j in range(a.ambient_rank)])
     return lattice_from_rows(a.ambient_rank, rows)
-
-
-def lattice_member(lat: Lattice, v) -> bool:
-    if lat.rank == 0:
-        return all(x == 0 for x in v)
-    return solve_in_rowspace(lat.basis, IntMatrix.from_rows([v]), integral=True) is not None
 
 
 def subspace_integer_points(ambient_rank: int, spanning_rows) -> Lattice:

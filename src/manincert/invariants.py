@@ -2,8 +2,10 @@
 degree-congruence gap.
 
 deg(phi)^2 = #( L / (L_f + L_perp) ) for L the full cuspidal lattice, L_f the
-saturated f-isotypic sublattice and L_perp the saturated Hecke complement;
-the induced composite L_f -> L/(L_perp) must be deg times a unimodular map.
+saturated f-isotypic sublattice and L_perp the saturated Hecke complement.
+The index is |det| of L_f's image in L/L_perp, read through the functionals
+that annihilate the complement (complement_annihilator); that composite
+L_f -> L/L_perp must be deg times a unimodular map.
 """
 
 from __future__ import annotations
@@ -15,30 +17,22 @@ from math import isqrt
 # charges its calls to this layer under that name
 from .heckeforms import (  # noqa: F401
     RationalNewform,
+    complement_annihilator,
     hecke_complement_rows,
     homology_complement,
 )
 from .arith import factorize, valuation
-from .intlattice import (
-    kernel,
-    lattice_sum,
-    quotient_order,
-    require,
-    saturate,
-    snf_diagonal,
-    standard_lattice,
-    subspace_integer_points,
-)
+from .intlattice import InvariantError, det, require, saturate, snf_diagonal
 from .modsym import ModSymSpace
 
 
-class DegreeConsistencyError(RuntimeError):
+class DegreeConsistencyError(InvariantError):
     """The homology index failed a Prop-2.3(a)-style self-check: this signals
     a bug in the lattice computation, not bad input.  The numerical
     period-area route (periods module) is the designated diagnostic."""
 
 
-class DivisibilityError(RuntimeError):
+class DivisibilityError(InvariantError):
     """deg does not divide r_f, contradicting the ARS divisibility."""
 
 
@@ -55,25 +49,17 @@ def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
     lf = f.eigenspace
     require(lf.rank == 2 and saturate(lf) == lf,
             "newform eigenspace is not a saturated rank-2 lattice")
-    comp = homology_complement(space, f)
-    lperp = subspace_integer_points(n, comp.entries)
-    total = lattice_sum(lf, lperp)
-    if total.rank != n:
-        raise DegreeConsistencyError(f"L_f + L_perp has rank {total.rank} != {n}")
-    index = quotient_order(standard_lattice(n), total)
+    quot = complement_annihilator(homology_complement(space, f), n, 2)
+    composite = quot * lf.basis.transpose()
+    index = abs(det(composite))
+    if index == 0:
+        raise DegreeConsistencyError(f"L_f meets L_perp at level {space.level}")
     deg = isqrt(index)
     if deg * deg != index:
         raise DegreeConsistencyError(
             f"homology index {index} is not a perfect square at level "
             f"{space.level}; numerical period-area cross-check advised"
         )
-    if n > 2:
-        quot_functionals = kernel(lperp.basis)  # identifies L/(L cap V_f-perp)
-        require(quot_functionals.rows == 2, f"Hecke complement leaves a quotient "
-                                            f"of rank {quot_functionals.rows}, not 2")
-        composite = quot_functionals * lf.basis.transpose()
-    else:
-        composite = lf.basis
     if snf_diagonal(composite) != [deg, deg]:
         raise DegreeConsistencyError(
             f"composite endomorphism has invariants {snf_diagonal(composite)}, "

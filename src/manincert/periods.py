@@ -15,8 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import xgcd
-from .heckeforms import RationalNewform, extend_an, homology_complement
-from .intlattice import IntMatrix, kernel, require, solve_in_rowspace
+from .heckeforms import (
+    RationalNewform,
+    complement_annihilator,
+    extend_an,
+    homology_complement,
+)
+from .intlattice import IntMatrix, require, solve_in_rowspace
 from .modsym import ModSymSpace
 
 
@@ -353,14 +358,7 @@ def newform_period_lattice(space: ModSymSpace, f: RationalNewform,
     if tol <= 0:
         raise ToleranceError("tolerance must be positive")
     n2g = space.cuspidal_basis.rows
-    comp = homology_complement(space, f)
-    if comp.rows:
-        quot = kernel(IntMatrix.from_rows(
-            [list(r) for r in comp.entries], n2g))
-    else:
-        quot = IntMatrix.identity(n2g)
-    require(quot.rows == 2,
-            f"Hecke complement leaves a quotient of rank {quot.rows}, not 2")
+    quot = complement_annihilator(homology_complement(space, f), n2g, 2)
     lifts = solve_in_rowspace(quot.transpose(), IntMatrix.identity(2), integral=True)
     require(lifts is not None, "quotient coordinate map is not surjective")
     calc = NewformPeriods(space, f, tol)

@@ -143,6 +143,16 @@ def test_invariant_error_exit_code(capsys, monkeypatch):
     assert code == 7 and "invariant violated" in err
 
 
+def test_divisibility_error_exit_code(capsys, monkeypatch):
+    """A degree that does not divide r_f is a typed invariant failure, not a
+    traceback out of main."""
+    from manincert import cli
+
+    monkeypatch.setattr(cli, "congruence_number", lambda n, f: 1)
+    code, _, err = run(capsys, "analyze", "37")
+    assert code == 7 and "does not divide" in err
+
+
 def test_numeric_11a2(capsys):
     code, out, _ = run(capsys, "--format", "json", "numeric", "--label", "11.a2")
     assert code == 0

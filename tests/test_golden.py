@@ -7,9 +7,10 @@ before the table-driven point counts and the fraction-free rational solve,
 the census outputs (census_<bound>.json) before the census was staged
 on the certificate criteria, and the analyze outputs (analyze_<level>.json)
 before good-prime Hecke images moved from Merel's set to Cremona's
-Heilbronn set.  Any change to a certified value, to a census
-stage, to a floating-point period result or to the JSON layout shows up
-here.
+Heilbronn set (analyze_530.json before the degree and r_f were read
+through the complement's annihilator).  Any change to a certified value,
+to a census stage, to a floating-point period result or to the JSON layout
+shows up here.
 """
 
 from pathlib import Path
@@ -36,7 +37,7 @@ def test_golden_numeric(label, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("level", [54, 198])
+@pytest.mark.parametrize("level", [54, 198, 530])
 def test_golden_analyze(level, capsys):
     code = main(["--format", "json", "analyze", str(level)])
     assert capsys.readouterr().out == (GOLDEN / f"analyze_{level}.json").read_text()

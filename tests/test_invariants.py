@@ -130,3 +130,67 @@ def test_wrong_rank_complement_is_invariant_error(monkeypatch):
     monkeypatch.setattr(invariants, "homology_complement", lambda space, g: bad)
     with pytest.raises(InvariantError, match="quotient of rank 1"):
         modular_degree(s, f)
+
+
+@pytest.mark.parametrize("level", [37, 54, 57, 64, 66, 130])
+def test_annihilator_readoff_matches_lattice_sum_route(level):
+    """The degree, index_used and r_f read through complement_annihilator
+    equal #( Z^n / (line or L_f + saturated complement) ) computed by a lattice
+    sum and quotient_order, and the provider's dual eigenspace equals the
+    per-prime intersection of the kernels of (T_p - a_p)^T."""
+    from math import gcd
+
+    from manincert.heckeforms import (
+        complement_annihilator,
+        hecke_algebra,
+        hecke_complement_rows,
+        homology_complement,
+        isotypic_complement_on_dual,
+    )
+    from manincert.intlattice import (
+        IntMatrix,
+        Lattice,
+        kernel,
+        lattice_from_rows,
+        lattice_intersect,
+        lattice_sum,
+        quotient_order,
+        standard_lattice,
+        subspace_integer_points,
+    )
+
+    def index(n, line, comp):
+        total = lattice_sum(line, subspace_integer_points(n, comp.entries))
+        return quotient_order(standard_lattice(n), total)
+
+    s = build_space(level)
+    alg = hecke_algebra(level)
+    n, g, k = s.cuspidal_basis.rows, alg.genus, s.rank
+    for f in s.rational_eigenspaces():
+        d = modular_degree(s, f)
+        square = index(n, f.eigenspace, homology_complement(s, f))
+        assert d.index_used == square == d.degree ** 2
+        x = alg.newform_coordinates(f)
+        line = lattice_from_rows(g, [[v // gcd(*x) for v in x]])
+        assert congruence_number(level, f) == index(
+            g, line, isotypic_complement_on_dual(alg, f))
+        left = None
+        for p in sorted(f.ap):
+            shifted = (s.hecke_on_coords(p).transpose()
+                       - IntMatrix.identity(k).scale(f.ap[p]))
+            ker = Lattice(k, kernel(shifted))
+            left = ker if left is None else lattice_intersect(left, ker)
+            if left.rank == 2:
+                break
+        dual = complement_annihilator(
+            hecke_complement_rows(s.hecke_on_coords, f, k - 2), k, 2)
+        assert dual == left.basis
+
+
+def test_typed_errors_are_invariant_errors():
+    from manincert.heckeforms import ComplementRankError
+    from manincert.intlattice import InvariantError
+    from manincert.invariants import DegreeConsistencyError
+
+    for exc in (DegreeConsistencyError, DivisibilityError, ComplementRankError):
+        assert issubclass(exc, InvariantError)

@@ -140,12 +140,15 @@ def test_fricke_identity_verified_numerically():
 
 def test_homology_complement_computed_once_per_newform(monkeypatch):
     """The degree and the period lattice of one newform share one Hecke
-    complement; a dataclasses.replace copy computes its own."""
-    calls = []
+    complement in the cuspidal homology; a dataclasses.replace copy computes
+    its own.  The a_p provider's complement on class coordinates, which the
+    periods need past the stored primes, is a different one and is counted
+    apart."""
+    calls, coord_calls = [], []
     orig = heckeforms.hecke_complement_rows
 
     def counting(*args):
-        calls.append(args)
+        (calls if args[0] == s.hecke_on_cuspidal else coord_calls).append(args)
         return orig(*args)
 
     monkeypatch.setattr(heckeforms, "hecke_complement_rows", counting)
@@ -154,6 +157,7 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     s = build_space(37)
     for g in s.rational_eigenspaces():
         calls.clear()
+        coord_calls.clear()
         f = dataclasses.replace(g, ap=dict(g.ap), _an=dict(g._an))
         assert modular_degree(s, f).degree == 2
         newform_period_lattice(s, f, 1e-9)
@@ -162,6 +166,8 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
         assert copy._complement is None
         assert heckeforms.homology_complement(s, copy) == f._complement
         assert len(calls) == 2
+        assert all(c[0] == s.hecke_on_coords for c in coord_calls)
+        assert len(coord_calls) <= 1
 
 
 def test_wrong_rank_complement_is_invariant_error(monkeypatch):
