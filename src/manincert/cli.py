@@ -9,6 +9,7 @@ entries; 4 curve not optimal; 5 census coverage gap; 6 numeric inconsistency;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -142,8 +143,10 @@ def run_certify(args, catalog: Catalog, fmt: str) -> int:
         f = match_curve_to_newform(record.model, record.conductor,
                                    space.rational_eigenspaces())
         deg = modular_degree(space, f)
+        r_f = congruence_number(record.conductor, f)
+        degree_congruence_gap(deg, r_f)  # raises DivisibilityError unless deg | r_f
         computed["degree"] = deg.degree
-        computed["r_f"] = congruence_number(record.conductor, f)
+        computed["r_f"] = r_f
     cert = certify_manin(record, computed)
     stevens = certify_stevens(record.conductor, [record], cert)
     payload = cert.as_dict()
@@ -228,7 +231,10 @@ def run_selftest(fmt: str) -> int:
     return 0 if all(c["status"] == "PASS" for c in checks) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each parse_args call starts
+    from a fresh namespace, so one request's options never reach the next."""
     ap = argparse.ArgumentParser(
         prog="manincert",
         description="Exact modular degrees, congruence numbers and "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from importlib import resources
 
 from .intlattice import require
@@ -49,6 +50,33 @@ class CatalogEntry:
         d = json.loads(line)
         d["ainvs"] = tuple(d["ainvs"])
         return CatalogEntry(**d)
+
+    @cached_property
+    def record(self):
+        """The entry's CurveRecord, derived once per entry object.
+
+        The cache lives on this (immutable) entry, so an entry built with
+        other fields, even under the same label, runs its own minimal-model
+        check."""
+        from .certify import CurveRecord
+        from .elliptic import minimal_model_from_ainvs
+
+        model = minimal_model_from_ainvs(self.ainvs)
+        require(model.ainvs == self.ainvs,
+                f"snapshot curve {self.label} is not a minimal model")
+        kod = {int(k): v for k, v in self.kodaira.items()} if self.kodaira else None
+        src = f"{self.source}:{fixture_manifest().get('optimality_convention', '')}" \
+            if self.source == "fixture" else self.source
+        return CurveRecord(
+            label=self.label,
+            model=model,
+            conductor=self.conductor,
+            is_optimal=self.optimality_flag,
+            optimality_source=src,
+            degree=self.modular_degree,
+            torsion_order=self.torsion_order,
+            kodaira=kod,
+        )
 
 
 def parse_label(label: str) -> tuple[int, str, int]:
@@ -151,22 +179,5 @@ class Catalog:
 
 
 def record_from_entry(entry: CatalogEntry):
-    from .certify import CurveRecord
-    from .elliptic import minimal_model_from_ainvs
-
-    model = minimal_model_from_ainvs(entry.ainvs)
-    require(model.ainvs == entry.ainvs,
-            f"snapshot curve {entry.label} is not a minimal model")
-    kod = {int(k): v for k, v in entry.kodaira.items()} if entry.kodaira else None
-    src = f"{entry.source}:{fixture_manifest().get('optimality_convention', '')}" \
-        if entry.source == "fixture" else entry.source
-    return CurveRecord(
-        label=entry.label,
-        model=model,
-        conductor=entry.conductor,
-        is_optimal=entry.optimality_flag,
-        optimality_source=src,
-        degree=entry.modular_degree,
-        torsion_order=entry.torsion_order,
-        kodaira=kod,
-    )
+    """The CurveRecord of a catalog entry (see CatalogEntry.record)."""
+    return entry.record

@@ -131,6 +131,28 @@ def test_cli_under_python_O():
         assert runs[0].stdout == runs[1].stdout
 
 
+def test_parser_reused_across_requests(capsys):
+    """One process, one parser: each request gives the output and exit code
+    of a fresh process, and no option (here --format) carries over."""
+    from manincert import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    requests = (["--format", "json", "certify", "--label", "11.a2"],
+                ["certify", "--ainvs", "0,-1,1,-10,-20"],
+                ["census", "--max-conductor", "-1"],
+                ["--format", "json", "census", "--max-conductor", "40"])
+    got = [run(capsys, *argv) for argv in requests]
+    fresh = [subprocess.run([sys.executable, "-m", "manincert.cli", *argv],
+                            env=_src_env(), capture_output=True, text=True,
+                            timeout=120)
+             for argv in requests]
+    assert got == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert [code for code, _, _ in got] == [0, 0, 2, 0]
+    assert not got[1][1].startswith("{")
+    golden = Path(__file__).parent / "golden" / "census_40.json"
+    assert got[3][1] == golden.read_text()
+
+
 def test_invariant_error_exit_code(capsys, monkeypatch):
     from manincert import cli
     from manincert.intlattice import InvariantError
@@ -151,6 +173,17 @@ def test_divisibility_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "congruence_number", lambda n, f: 1)
     code, _, err = run(capsys, "analyze", "37")
     assert code == 7 and "does not divide" in err
+
+
+def test_certify_checks_degree_divides_r_f(capsys, monkeypatch):
+    """certify checks deg | r_f on the values it computes live (deg = 2 at
+    37.a1) before printing them."""
+    from manincert import cli
+
+    monkeypatch.setattr(cli, "congruence_number", lambda n, f: 1)
+    code, out, err = run(capsys, "certify", "--label", "37.a1")
+    assert code == 7 and "does not divide" in err
+    assert out == ""
 
 
 def test_numeric_11a2(capsys):

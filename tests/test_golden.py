@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from manincert import elliptic
 from manincert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,3 +50,23 @@ def test_golden_census(bound, capsys):
     code = main(["--format", "json", "census", "--max-conductor", str(bound)])
     assert capsys.readouterr().out == (GOLDEN / f"census_{bound}.json").read_text()
     assert code == 0
+
+
+def test_census_reuses_snapshot_records(capsys, monkeypatch):
+    """A second census in one process runs no minimal-model search: each
+    snapshot record is derived once per process."""
+    calls = []
+    inner = elliptic.minimal_model
+
+    def counted(w):
+        calls.append(w)
+        return inner(w)
+
+    monkeypatch.setattr(elliptic, "minimal_model", counted)
+    golden = (GOLDEN / "census_200.json").read_text()
+    for _ in range(2):
+        calls.clear()
+        code = main(["--format", "json", "census", "--max-conductor", "200"])
+        assert capsys.readouterr().out == golden
+        assert code == 0
+    assert calls == []

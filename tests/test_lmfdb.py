@@ -1,10 +1,13 @@
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
+from manincert import elliptic
 from manincert.arith import factorize
+from manincert.intlattice import InvariantError
 from manincert.lmfdb import (
     CatalogEntry,
     Catalog,
@@ -74,6 +77,32 @@ def test_entry_to_record_consistency():
     # discriminant support divides the recorded conductor
     for p in factorize(rec.model.delta_min):
         assert rec.conductor % p == 0
+
+
+def test_record_derived_once_per_entry(monkeypatch):
+    """One minimal-model search per entry object: a second call returns the
+    same record.  An entry with other fields under the same label runs its
+    own check, also once the genuine record is cached."""
+    calls = []
+    inner = elliptic.minimal_model
+
+    def counted(w):
+        calls.append(w)
+        return inner(w)
+
+    monkeypatch.setattr(elliptic, "minimal_model", counted)
+    genuine = dataclasses.replace(fixture_entries()["11.a2"])  # uncached copy
+    rec = record_from_entry(genuine)
+    assert record_from_entry(genuine) is rec
+    assert len(calls) == 1
+    u = 2  # a_i -> u^i a_i: the same curve, not minimal at 2
+    scaled = tuple(u ** i * a for i, a in zip((1, 2, 3, 4, 6), genuine.ainvs))
+    forged = dataclasses.replace(genuine, ainvs=scaled)
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="not a minimal model"):
+            record_from_entry(forged)
+    assert len(calls) == 3
+    assert record_from_entry(genuine) is rec
 
 
 def test_two_torsion_agrees_with_ingested_torsion_parity():
