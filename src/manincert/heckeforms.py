@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .arith import factorize, primes_up_to
@@ -23,7 +24,6 @@ from .intlattice import (
     hnf,
     kernel,
     require,
-    solve_in_rowspace,
     stack,
 )
 from .modsym import build_space, index_mu
@@ -150,14 +150,17 @@ class HeckeAlgebra:
     Z-module, with its dual q-expansion lattice.
 
     T_n is probed through its action on a few cuspidal vectors; the probe
-    T -> Z^m is certified faithful by a rank check against the genus.
+    T -> Z^m is certified faithful by a rank check against the genus.  The
+    space owns its algebra (ModSymSpace.hecke_algebra), and the algebra
+    memoizes T_p on the dual lattice per prime.
     """
 
-    def __init__(self, N: int):
-        self.level = N
-        self.space = build_space(N)
-        self.genus = self.space.genus
-        self.sturm = self.precision = sturm_bound(N)  # perfbench reads `precision`
+    def __init__(self, space):
+        self.space = space
+        self.level = space.level
+        self.genus = space.genus
+        self.sturm = self.precision = sturm_bound(space.level)  # perfbench reads `precision`
+        self._dual_hecke: dict[int, IntMatrix] = {}
         self._build()
 
     def _cuspidal_sections(self, count: int) -> list[dict[int, int]]:
@@ -213,12 +216,13 @@ class HeckeAlgebra:
 
     def newform_coordinates(self, f: RationalNewform) -> list[int]:
         """Coordinates of f's coefficient vector in the (raw) dual basis."""
-        avec = a_list(f, self.precision)
-        sol = solve_in_rowspace(
-            self.basis_coeffs, IntMatrix.from_rows([avec]), integral=True
-        )
+        sol = self._coeff_solver.solve(a_list(f, self.precision), integral=True)
         require(sol is not None, "newform is not in the integral cusp lattice")
-        return list(sol.entries[0])
+        return sol
+
+    @cached_property
+    def _coeff_solver(self) -> RowSolver:
+        return RowSolver(self.basis_coeffs)
 
     def hecke_matrix_on_dual(self, p: int) -> IntMatrix:
         """Matrix of T_p on column coordinate vectors of the S_2(Z) lattice.
@@ -231,6 +235,8 @@ class HeckeAlgebra:
         on each rank-wide block.  No q-expansion coefficient past the Sturm
         bound is needed.
         """
+        if p in self._dual_hecke:
+            return self._dual_hecke[p]
         a = self.space.hecke_on_coords(p).entries
         k = self.space.rank
         rows = []
@@ -242,16 +248,13 @@ class HeckeAlgebra:
             sol = self._h_solver.solve(img, integral=True)
             require(sol is not None, "T_p times the Hecke algebra left the algebra")
             rows.append(sol)
-        return IntMatrix.from_rows(rows)
-
-
-_ALGEBRAS: dict[int, HeckeAlgebra] = {}
+        self._dual_hecke[p] = IntMatrix.from_rows(rows)
+        return self._dual_hecke[p]
 
 
 def hecke_algebra(N: int) -> HeckeAlgebra:
-    if N not in _ALGEBRAS:
-        _ALGEBRAS[N] = HeckeAlgebra(N)
-    return _ALGEBRAS[N]
+    """The Hecke algebra of the cached space of level N."""
+    return build_space(N).hecke_algebra
 
 
 def hecke_complement_rows(hecke: Callable[[int], IntMatrix], f: RationalNewform,
@@ -290,7 +293,7 @@ def hecke_complement_rows(hecke: Callable[[int], IntMatrix], f: RationalNewform,
 
 def homology_complement(space, f: RationalNewform) -> IntMatrix:
     """Hecke complement of f in the cuspidal homology lattice of `space`
-    (f's level), computed once per newform: the modular degree and the
+    (f's level), computed once per newform copy: the modular degree and the
     newform periods both start from it."""
     if f._complement is None:
         f._complement = hecke_complement_rows(

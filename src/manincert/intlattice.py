@@ -292,11 +292,6 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return d, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
-def snf_diagonal(m: IntMatrix) -> list[int]:
-    d, _, _ = snf(m)
-    return [d.entries[i][i] for i in range(min(d.rows, d.cols))]
-
-
 def _solve_rows(h, u, pivots, target, integral: bool):
     """x with x * basis = target, given U * basis = H in row HNF, or None.
 

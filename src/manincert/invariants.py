@@ -11,7 +11,7 @@ L_f -> L/L_perp must be deg times a unimodular map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 # hecke_complement_rows stays importable from here: perfbench/tracing.py
 # charges its calls to this layer under that name
@@ -22,7 +22,7 @@ from .heckeforms import (  # noqa: F401
     homology_complement,
 )
 from .arith import factorize, valuation
-from .intlattice import InvariantError, det, require, saturate, snf_diagonal
+from .intlattice import InvariantError, det, require, saturate
 from .modsym import ModSymSpace
 
 
@@ -60,13 +60,16 @@ def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
             f"homology index {index} is not a perfect square at level "
             f"{space.level}; numerical period-area cross-check advised"
         )
-    if snf_diagonal(composite) != [deg, deg]:
+    # with |det| = deg^2, the entries' gcd is deg exactly when the Smith
+    # form is [deg, deg]
+    content = gcd(*(x for row in composite.entries for x in row))
+    if content != deg:
         raise DegreeConsistencyError(
-            f"composite endomorphism has invariants {snf_diagonal(composite)}, "
+            f"composite endomorphism has entry gcd {content}, "
             f"expected multiplication by {deg}"
         )
-    # by eigenspace, not by equality: f's a_p memo may have grown since the
-    # space cached its newforms
+    # by eigenspace, not by equality: the caller's copy of f may have grown
+    # its a_p memo past the space's
     idx = next((i for i, g in enumerate(space.rational_eigenspaces())
                 if g.eigenspace == lf), None)
     require(idx is not None,

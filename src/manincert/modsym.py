@@ -11,6 +11,7 @@ coordinates.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from math import gcd, isqrt
 
@@ -261,7 +262,6 @@ class ModSymSpace:
         self._hecke_cusp_cache: dict[int, IntMatrix] = {}
         self._lower_cache: dict[tuple[int, int], IntMatrix] = {}
         self._al_cache: dict[int, IntMatrix] = {}
-        self._newforms = None
 
     # -- presentation ------------------------------------------------------
 
@@ -423,33 +423,6 @@ class ModSymSpace:
         self._coord_cols = [tuple(c) for c in cols]
         self._pivots = [next(j for j, x in enumerate(row) if x) for row in coords.entries]
 
-    @property
-    def presentation(self) -> IntMatrix:
-        """The raw two- and three-term relation matrix on Manin symbols."""
-        if getattr(self, "_presentation", None) is None:
-            rows = []
-            seen = set()
-            for i in range(self.mu):
-                j = self._symbol_S(i)
-                if (j, i) not in seen:
-                    seen.add((i, j))
-                    row = [0] * self.mu
-                    row[i] += 1
-                    row[j] += 1
-                    rows.append(row)
-            seen = set()
-            for i in range(self.mu):
-                orbit = (i, self._symbol_U(i), self._symbol_U(self._symbol_U(i)))
-                if min(orbit) in seen:
-                    continue
-                seen.add(min(orbit))
-                row = [0] * self.mu
-                for t in orbit:
-                    row[t] += 1
-                rows.append(row)
-            self._presentation = IntMatrix.from_rows(rows, self.mu)
-        return self._presentation
-
     def symbol_lift(self, i: int) -> tuple[int, int, int, int]:
         c, d = self.p1.pairs[i]
         return lift_to_sl2(c, d, self.level)
@@ -539,9 +512,7 @@ class ModSymSpace:
         ncusp = len(cusp_reps)
 
         if self.rank == 0:
-            self.boundary = IntMatrix.from_rows([])
             self.cuspidal_basis = IntMatrix.from_rows([])
-            self.cuspidal_lattice = lattice_from_rows(0, [])
             return
 
         def boundary_of(i: int) -> list[int]:
@@ -552,14 +523,11 @@ class ModSymSpace:
             return out
 
         # boundary matrix on coordinates: Bd . class(i) = boundary of symbol i
-        bd = self._solve_and_check(boundary_of, ncusp)
-        self.boundary = bd
-        cusp_kernel = kernel(bd)
+        cusp_kernel = kernel(self._solve_and_check(boundary_of, ncusp))
         require(cusp_kernel.rows == 2 * self.genus,
                 f"cuspidal rank {cusp_kernel.rows} at level {self.level}, "
                 f"expected {2 * self.genus}")
         self.cuspidal_basis = cusp_kernel
-        self.cuspidal_lattice = Lattice(self.rank, cusp_kernel)
 
     # -- operators -----------------------------------------------------------
 
@@ -687,10 +655,6 @@ class ModSymSpace:
             self._al_cache[q] = mat
         return self._al_cache[q]
 
-    def star_involution(self) -> IntMatrix:
-        """The star involution {a, b} -> {-a, -b} on the cuspidal lattice."""
-        return self._restrict_to_cuspidal(self._path_map([(-1, 0, 0, 1)], self))
-
     # -- degeneracy maps and the new subspace --------------------------------
 
     def degeneracy_lower(self, target: "ModSymSpace", d: int) -> IntMatrix:
@@ -763,8 +727,24 @@ class ModSymSpace:
 
     # -- rational eigenspaces -------------------------------------------------
 
+    @cached_property
+    def hecke_algebra(self):
+        """The Hecke algebra of this level, built once per space."""
+        from .heckeforms import HeckeAlgebra
+
+        return HeckeAlgebra(self)
+
     def rational_eigenspaces(self):
         """The rational newforms of the level, each with its rank-2 eigenspace.
+
+        The split runs once per space.  Each call returns fresh copies, so
+        the a_p, a_n, complement and a_p-provider memos a caller grows on
+        its newforms stay with that caller."""
+        return [replace(f, ap=dict(f.ap), _an={}) for f in self._newforms]
+
+    @cached_property
+    def _newforms(self):
+        """The certified split behind rational_eigenspaces.
 
         The new cuspidal lattice is split by kernels of T_p - a_p, p up to
         the Sturm bound, until each piece has rank 2.  Such a piece is
@@ -773,8 +753,6 @@ class ModSymSpace:
         (see `_eigenvector_ap`)."""
         from .heckeforms import RationalNewform, sturm_bound
 
-        if self._newforms is not None:
-            return self._newforms
         bound = sturm_bound(self.level)
         plist = primes_up_to(bound) or [2]
         new = self.new_subspace()
@@ -818,7 +796,6 @@ class ModSymSpace:
                 sign_w=sign_w,
             ))
         out.sort(key=lambda f: tuple(f.ap[p] for p in plist))
-        self._newforms = out
         return out
 
     def _eigenvector_ap(self, basis: IntMatrix, split_ap: dict[int, int],

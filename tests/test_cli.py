@@ -153,6 +153,27 @@ def test_parser_reused_across_requests(capsys):
     assert got[3][1] == golden.read_text()
 
 
+def test_output_independent_of_earlier_requests(capsys):
+    """A request's output does not depend on what ran before it in the
+    process: numeric and selftest install a curve's a_p on their newforms
+    and grow them past the Sturm bound, and a later analyze at the same
+    level must still print only the space's own a_p."""
+    from manincert.modsym import build_space
+
+    requests = (["numeric", "--label", "37.a1"],
+                ["--format", "json", "analyze", "37"],
+                ["selftest"],
+                ["analyze", "11"])
+    got = [run(capsys, *argv) for argv in requests]
+    fresh = [subprocess.run([sys.executable, "-m", "manincert.cli", *argv],
+                            env=_src_env(), capture_output=True, text=True,
+                            timeout=120)
+             for argv in requests]
+    assert got == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert all(f._ap_provider is None
+               for f in build_space(37).rational_eigenspaces())
+
+
 def test_invariant_error_exit_code(capsys, monkeypatch):
     from manincert import cli
     from manincert.intlattice import InvariantError

@@ -16,7 +16,7 @@ from manincert.intlattice import (
     hnf,
     lattice_from_rows,
     quotient_order,
-    snf_diagonal,
+    snf,
     solve_in_rowspace,
     stack,
     standard_lattice,
@@ -129,9 +129,9 @@ def test_hecke_on_dual_matches_q_expansions():
     and p | n), solved back against the Sturm-truncated basis; and r_f needs
     no coefficient past the Sturm bound."""
     for n in (33, 54, 57, 64, 66, 70):
-        heckeforms._ALGEBRAS.pop(n, None)
         for f in build_space(n).rational_eigenspaces():
             congruence_number(n, f)
+            assert max(f._an) <= sturm_bound(n)
         alg = hecke_algebra(n)
         assert alg.precision == sturm_bound(n)
         b0 = alg.sturm
@@ -153,14 +153,47 @@ def test_hecke_on_dual_matches_q_expansions():
             assert v * t_low == dual.transpose() * v
 
 
+@pytest.mark.parametrize("n", (54, 130))
+def test_dual_hecke_and_coordinate_solver_built_once_per_level(n, monkeypatch):
+    """Over every newform of the level, r_f builds T_p on the dual lattice
+    once per prime, and the newform coordinates share one HNF of the dual
+    basis."""
+    from manincert import intlattice, modsym
+
+    monkeypatch.setattr(modsym, "_SPACES", {})
+    built, coeff_hnfs = [], []
+    on_coords = modsym.ModSymSpace.hecke_on_coords
+    with_transform = intlattice.hnf_with_transform
+
+    def counted_on_coords(space, p):
+        built.append(p)
+        return on_coords(space, p)
+
+    def counted_hnf(m):
+        coeff_hnfs.extend([m] if m is alg.basis_coeffs else [])
+        return with_transform(m)
+
+    monkeypatch.setattr(modsym.ModSymSpace, "hecke_on_coords", counted_on_coords)
+    forms = build_space(n).rational_eigenspaces()
+    alg = hecke_algebra(n)
+    assert len(forms) >= 2
+    built.clear()  # the split's own T_p
+    monkeypatch.setattr(intlattice, "hnf_with_transform", counted_hnf)
+    for f in forms:
+        congruence_number(n, f)
+        alg.newform_coordinates(f)
+    assert built and sorted(built) == sorted(set(built))
+    assert len(coeff_hnfs) == 1
+
+
 def test_newform_vector_is_primitive():
     for n in (11, 26, 37, 54):
         alg = hecke_algebra(n)
         for f in build_space(n).rational_eigenspaces():
             x = alg.newform_coordinates(f)
             lat = lattice_from_rows(len(x), [x])
-            diag = snf_diagonal(lat.basis)
-            assert diag == [1]
+            d, _, _ = snf(lat.basis)
+            assert d.entries[0][0] == 1
 
 
 def test_congruence_numbers_frozen():

@@ -9,7 +9,7 @@ from manincert.invariants import (
     degree_congruence_gap,
     modular_degree,
 )
-from manincert.modsym import ModSymSpace, build_space, genus_x0
+from manincert.modsym import build_space, genus_x0
 from manincert.periods import newform_period_lattice
 
 
@@ -32,7 +32,7 @@ def test_degree_level_37():
 def test_degree_of_newform_copy_with_grown_ap():
     """The newform index is found by eigenspace: a copy whose a_p table has
     grown past the cached newform's still gets its degree and index."""
-    s = ModSymSpace(37)  # uncached: other tests may grow the cached a_p
+    s = build_space(37)
     cached = s.rational_eigenspaces()[0]
     f = dataclasses.replace(cached, ap=dict(cached.ap))
     newform_period_lattice(s, f, 1e-8)
@@ -113,6 +113,23 @@ def test_atkin_lehner_invariance_of_index_level_57():
         w = s.atkin_lehner(q)
         for f in s.rational_eigenspaces():
             assert hnf(f.eigenspace.basis * w.transpose()) == f.eigenspace.basis
+
+
+def test_square_index_without_scalar_composite_is_degree_error(monkeypatch):
+    """At 37 the composite L_f -> L/L_perp is 2 times a unimodular map.  With
+    one annihilator row scaled by 4 its |det| is 16, a square, but the map
+    is not multiplication by 4: the entry-gcd check must refuse it."""
+    from manincert import invariants
+    from manincert.intlattice import IntMatrix
+    from manincert.invariants import DegreeConsistencyError
+
+    real = invariants.complement_annihilator
+    scale = IntMatrix.from_rows([[1, 0], [0, 4]])
+    monkeypatch.setattr(invariants, "complement_annihilator",
+                        lambda comp, n, rank: scale * real(comp, n, rank))
+    s = build_space(37)
+    with pytest.raises(DegreeConsistencyError, match="multiplication by 4"):
+        modular_degree(s, s.rational_eigenspaces()[0])
 
 
 def test_wrong_rank_complement_is_invariant_error(monkeypatch):

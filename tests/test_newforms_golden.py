@@ -7,8 +7,8 @@ cuspidal lattice.  Each holds, per newform and in the newforms' order, `ap`
 and `sign_w` as ordered lists of pairs and the eigenspace basis entries, so
 a change to an eigenvalue, to the order of the `ap` keys, to an
 Atkin-Lehner sign, to the basis or to the order of the newforms shows up.
-Each level is built afresh: the cached space's newforms grow their `ap`
-when other code asks for primes past the Sturm bound.
+The cached space serves: each call returns fresh copies of its newforms, so
+what other code asks of its own copies does not reach these.
 
 Regenerate a file with `PYTHONPATH=src python tests/test_newforms_golden.py
 LEVEL > tests/golden/newforms_LEVEL.json`.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from manincert.modsym import ModSymSpace
+from manincert.modsym import build_space
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,7 +32,7 @@ def newforms_json(level: int) -> str:
             "sign_w": [[q, e] for q, e in f.sign_w.items()],
             "eigenspace": [list(row) for row in f.eigenspace.basis.entries],
         })
-        for f in ModSymSpace(level).rational_eigenspaces()
+        for f in build_space(level).rational_eigenspaces()
     ]
     return f'{{"level": {level}, "newforms": [\n' + ",\n".join(lines) + "\n]}\n"
 
