@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .certify import (
@@ -50,7 +51,7 @@ from .periods import (
     newform_period_lattice,
 )
 
-DEFAULT_LEVEL_CEILING = 1000
+LEVEL_CEILING = 1000  # analyze accepts levels 1..LEVEL_CEILING
 LIVE_COMPUTE_LIMIT = 200  # recompute degree/r_f live up to this conductor
 
 
@@ -85,9 +86,9 @@ def _print_table(payload: dict, indent: int = 0):
             print(f"{pad}{key}: {val}")
 
 
-def run_level(n: int, fmt: str, ceiling: int = DEFAULT_LEVEL_CEILING) -> int:
-    if n < 1 or n > ceiling:
-        raise UsageError(f"level must be in 1..{ceiling}")
+def run_level(n: int, fmt: str) -> int:
+    if n < 1 or n > LEVEL_CEILING:
+        raise UsageError(f"level must be in 1..{LEVEL_CEILING}")
     space = build_space(n)
     forms = []
     for f in space.rational_eigenspaces():
@@ -183,9 +184,9 @@ def run_numeric(args, catalog: Catalog, fmt: str) -> int:
         raise UsageError("--tol must be positive")
     record = _resolve_record(args, catalog)
     space = build_space(record.conductor)
-    f = match_curve_to_newform(record.model, record.conductor,
-                               space.rational_eigenspaces())
-    f._ap_provider = curve_ap_provider(record.model)
+    f = replace(match_curve_to_newform(record.model, record.conductor,
+                                       space.rational_eigenspaces()),
+                _ap_provider=curve_ap_provider(record.model))
     lat_e = elliptic_period_lattice(record.model, tol)
     lat_f = newform_period_lattice(space, f, tol)
     c, resid = manin_constant_numeric(lat_e, lat_f, max(tol, 1e-6))
@@ -241,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Manin-constant certificates for optimal elliptic quotients.")
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--format", choices=("table", "json"), default="table")
-    ap.add_argument("--level-ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
-                    help="largest level accepted by analyze")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="newforms, degrees and congruence "
@@ -272,7 +271,7 @@ def main(argv=None) -> int:
     catalog = Catalog()
     try:
         if args.command == "analyze":
-            return run_level(args.level, args.format, args.level_ceiling)
+            return run_level(args.level, args.format)
         if args.command == "certify":
             return run_certify(args, catalog, args.format)
         if args.command == "census":

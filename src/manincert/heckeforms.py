@@ -24,6 +24,7 @@ from .intlattice import (
     hnf,
     kernel,
     require,
+    saturate,
     stack,
 )
 from .modsym import build_space, index_mu
@@ -54,11 +55,10 @@ class RationalNewform:
     eigenspace: Lattice
     sign_w: dict[int, int]
     _an: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-    # Hecke complement in the cuspidal homology (see homology_complement);
-    # copies made with dataclasses.replace start without it
-    _complement: IntMatrix | None = field(default=None, init=False, repr=False,
-                                          compare=False)
-    _ap_provider = None
+    # the caller's a_p source past the stored primes (numeric passes the
+    # curve's point counts); without one, the space's dual eigenvector serves
+    _ap_provider: Callable[[int], int] | None = field(default=None, repr=False,
+                                                      compare=False)
 
     def __post_init__(self):
         for p, a in self.ap.items():
@@ -77,9 +77,8 @@ class RationalNewform:
                 # a_p = -w_p for p || N, a_p = 0 for p^2 | N (weight 2)
                 self.ap[p] = -self.sign_w[p] if (self.level // p) % p else 0
             else:
-                if self._ap_provider is None:
-                    self._ap_provider = eigen_ap_provider(build_space(self.level), self)
-                a = self._ap_provider(p)
+                a = (self._ap_provider or build_space(self.level).newform_data(
+                    self, eigen_ap_provider))(p)
                 require(a * a <= 4 * p, f"Hasse bound fails at {p}")
                 self.ap[p] = a
         return self.ap[p]
@@ -92,7 +91,8 @@ def eigen_ap_provider(space, f: RationalNewform):
     left eigenvector for the Hecke action; then a_p = u(T_p w0)/u(w0) for any
     symbol w0 with u(w0) != 0, at the cost of one T_p image of w0 (Cremona's
     Heilbronn set, since p does not divide the level).  The left eigenvectors
-    annihilate f's Hecke complement on class coordinates.
+    annihilate f's Hecke complement on class coordinates.  The space builds
+    it once per newform (ModSymSpace.newform_data).
     """
     k = space.rank
     w = complement_annihilator(
@@ -291,14 +291,17 @@ def hecke_complement_rows(hecke: Callable[[int], IntMatrix], f: RationalNewform,
     )
 
 
-def homology_complement(space, f: RationalNewform) -> IntMatrix:
-    """Hecke complement of f in the cuspidal homology lattice of `space`
-    (f's level), computed once per newform copy: the modular degree and the
-    newform periods both start from it."""
-    if f._complement is None:
-        f._complement = hecke_complement_rows(
-            space.hecke_on_cuspidal, f, space.cuspidal_basis.rows - 2)
-    return f._complement
+def homology_annihilator(space, f: RationalNewform) -> IntMatrix:
+    """Saturated annihilator (2 x 2g) of f's Hecke complement in the cuspidal
+    lattice of `space`, which builds it once per newform
+    (ModSymSpace.newform_data): the modular degree and the newform periods
+    both read it."""
+    lf = f.eigenspace
+    require(lf.rank == 2 and saturate(lf) == lf,
+            "newform eigenspace is not a saturated rank-2 lattice")
+    n = space.cuspidal_basis.rows
+    return complement_annihilator(
+        hecke_complement_rows(space.hecke_on_cuspidal, f, n - 2), n, 2)
 
 
 def isotypic_complement_on_dual(alg: HeckeAlgebra, f: RationalNewform) -> IntMatrix:

@@ -4,8 +4,9 @@ degree-congruence gap.
 deg(phi)^2 = #( L / (L_f + L_perp) ) for L the full cuspidal lattice, L_f the
 saturated f-isotypic sublattice and L_perp the saturated Hecke complement.
 The index is |det| of L_f's image in L/L_perp, read through the functionals
-that annihilate the complement (complement_annihilator); that composite
-L_f -> L/L_perp must be deg times a unimodular map.
+that annihilate the complement, which the space builds once per newform
+(homology_annihilator); that composite L_f -> L/L_perp must be deg times a
+unimodular map.
 """
 
 from __future__ import annotations
@@ -15,14 +16,10 @@ from math import gcd, isqrt
 
 # hecke_complement_rows stays importable from here: perfbench/tracing.py
 # charges its calls to this layer under that name
-from .heckeforms import (  # noqa: F401
-    RationalNewform,
-    complement_annihilator,
-    hecke_complement_rows,
-    homology_complement,
-)
+from .heckeforms import hecke_complement_rows  # noqa: F401
+from .heckeforms import RationalNewform, homology_annihilator
 from .arith import factorize, valuation
-from .intlattice import InvariantError, det, require, saturate
+from .intlattice import InvariantError, det
 from .modsym import ModSymSpace
 
 
@@ -45,12 +42,8 @@ class DegreeResult:
 
 
 def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
-    n = space.cuspidal_basis.rows
-    lf = f.eigenspace
-    require(lf.rank == 2 and saturate(lf) == lf,
-            "newform eigenspace is not a saturated rank-2 lattice")
-    quot = complement_annihilator(homology_complement(space, f), n, 2)
-    composite = quot * lf.basis.transpose()
+    quot = space.newform_data(f, homology_annihilator)
+    composite = quot * f.eigenspace.basis.transpose()
     index = abs(det(composite))
     if index == 0:
         raise DegreeConsistencyError(f"L_f meets L_perp at level {space.level}")
@@ -68,13 +61,7 @@ def modular_degree(space: ModSymSpace, f: RationalNewform) -> DegreeResult:
             f"composite endomorphism has entry gcd {content}, "
             f"expected multiplication by {deg}"
         )
-    # by eigenspace, not by equality: the caller's copy of f may have grown
-    # its a_p memo past the space's
-    idx = next((i for i, g in enumerate(space.rational_eigenspaces())
-                if g.eigenspace == lf), None)
-    require(idx is not None,
-            f"newform is not a rational eigenspace of level {space.level}")
-    return DegreeResult(space.level, idx, deg, index)
+    return DegreeResult(space.level, space.newform_index(f), deg, index)
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,11 @@ class ModSymSpace:
         self._hecke_cusp_cache: dict[int, IntMatrix] = {}
         self._lower_cache: dict[tuple[int, int], IntMatrix] = {}
         self._al_cache: dict[int, IntMatrix] = {}
+        self._newform_data: dict = {}  # (build, newform index) -> its result
+        self.gamma_loops: list[tuple[int, int, int, int]] = []  # see loop_solver
+        self._loop_classes: list[list[int]] = []
+        self._loop_iter = self._gamma_candidates()
+        self._loop_solvers: dict[int, RowSolver] = {}
 
     # -- presentation ------------------------------------------------------
 
@@ -624,6 +629,36 @@ class ModSymSpace:
         require(sol is not None, "class is not in the cuspidal lattice")
         return sol
 
+    def _gamma_candidates(self):
+        """All loops [[a, b], [cN, d]] in Gamma0(N), by increasing c then d."""
+        c = 1
+        while True:
+            mod = c * self.level
+            for d in range(1, mod):
+                if gcd(d, mod) != 1:
+                    continue
+                x, _, g = xgcd(d, mod)
+                assert g == 1
+                a = x % mod
+                if a > mod // 2:
+                    a -= mod
+                yield (a, (a * d - 1) // mod, mod, d)
+            c += 1
+            require(c <= 40, "gamma loops up to c=40 do not span the target classes")
+
+    def loop_solver(self, width: int) -> RowSolver:
+        """RowSolver on the cuspidal classes of the paths {0, gamma(0)} for the
+        first `width` gamma loops, built once per level and width (Cremona,
+        Algorithms for Modular Elliptic Curves, ch. 2)."""
+        if width not in self._loop_solvers:
+            while len(self.gamma_loops) < width:
+                gam = next(self._loop_iter)
+                self.gamma_loops.append(gam)
+                self._loop_classes.append(
+                    self.to_cuspidal_coords(self.path_class((0, 1), (gam[1], gam[3]))))
+            self._loop_solvers[width] = RowSolver(IntMatrix.from_rows(self._loop_classes[:width]))
+        return self._loop_solvers[width]
+
     def _path_map(self, mats, target: "ModSymSpace") -> IntMatrix:
         """Coordinate matrix, into `target`, of the path map
         {alpha, beta} -> sum over m in mats of {m alpha, m beta}."""
@@ -737,9 +772,9 @@ class ModSymSpace:
     def rational_eigenspaces(self):
         """The rational newforms of the level, each with its rank-2 eigenspace.
 
-        The split runs once per space.  Each call returns fresh copies, so
-        the a_p, a_n, complement and a_p-provider memos a caller grows on
-        its newforms stay with that caller."""
+        The split, and what it fixes for each newform (newform_data), run once
+        per space.  Each call returns fresh copies, which carry only the a_p
+        and a_n memos a caller grows and the caller's a_p source."""
         return [replace(f, ap=dict(f.ap), _an={}) for f in self._newforms]
 
     @cached_property
@@ -797,6 +832,23 @@ class ModSymSpace:
             ))
         out.sort(key=lambda f: tuple(f.ap[p] for p in plist))
         return out
+
+    def newform_index(self, f) -> int:
+        """Index of f's newform in this space, found by its eigenspace, which
+        every copy shares and no caller can grow (its a_p memo can)."""
+        i = next((i for i, g in enumerate(self._newforms)
+                  if g.eigenspace == f.eigenspace), None)
+        require(i is not None, f"newform is not a rational eigenspace of level {self.level}")
+        return i
+
+    def newform_data(self, f, build):
+        """build(self, g) for the space's own newform g with f's eigenspace,
+        computed once per newform and `build`: what the split fixes for a
+        newform (heckeforms.homology_annihilator, eigen_ap_provider)."""
+        key = (build, self.newform_index(f))
+        if key not in self._newform_data:
+            self._newform_data[key] = build(self, self._newforms[key[1]])
+        return self._newform_data[key]
 
     def _eigenvector_ap(self, basis: IntMatrix, split_ap: dict[int, int],
                         sign_w: dict[int, int], limit: int) -> dict[int, int]:

@@ -14,13 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import xgcd
-from .heckeforms import (
-    RationalNewform,
-    complement_annihilator,
-    extend_an,
-    homology_complement,
-)
+from .heckeforms import RationalNewform, extend_an, homology_annihilator
 from .intlattice import IntMatrix, require, solve_in_rowspace
 from .modsym import ModSymSpace
 
@@ -184,20 +178,14 @@ def _gauss_reduce(w1: complex, w2: complex) -> tuple[complex, complex]:
 class NewformPeriods:
     """Period integrals of 2*pi*i*f over cuspidal homology classes."""
 
-    def __init__(self, space: ModSymSpace, f: RationalNewform, tol: float):
-        if tol <= 0:
-            raise ToleranceError("tolerance must be positive")
+    def __init__(self, space: ModSymSpace, f: RationalNewform):
         self.space = space
         self.f = f
-        self.tol = tol
         self.N = space.level
         self.w_fricke = 1
         for s in f.sign_w.values():
             self.w_fricke *= s
         self._an: list[int] = [0]  # a_0 unused
-        self._gammas: list[tuple[int, int, int, int]] = []
-        self._classes: list[list[int]] = []
-        self._gamma_iter = None
         self._star_height = 1.0 / math.sqrt(self.N)
         self._s_star: complex | None = None
         self._fricke_checked = False
@@ -288,57 +276,30 @@ class NewformPeriods:
 
     # -- gamma loops ----------------------------------------------------------
 
-    def _gamma_candidates(self):
-        """All loops [[a, b], [cN, d]] in Gamma0(N), by increasing c then d."""
-        n = self.N
-        c = 1
-        while True:
-            mod = c * n
-            for d in range(1, mod):
-                if math.gcd(d, mod) != 1:
-                    continue
-                x, _, g = xgcd(d, mod)
-                assert g == 1
-                a = x % mod
-                if a > mod // 2:
-                    a -= mod
-                b = (a * d - 1) // mod
-                yield (a, b, mod, d)
-            c += 1
-            if c > 40:
-                raise ConvergenceError(
-                    "gamma loops up to c=40 do not span the target classes")
-
-    def _take_gammas(self, count: int):
-        if self._gamma_iter is None:
-            self._gamma_iter = self._gamma_candidates()
-        while len(self._gammas) < count:
-            gam = next(self._gamma_iter)
-            cls = self.space.path_class((0, 1), (gam[1], gam[3]))
-            self._gammas.append(gam)
-            self._classes.append(self.space.to_cuspidal_coords(cls))
-
     def _express(self, rows: list[list[int]]):
-        """Rational combinations of gamma classes giving the target rows."""
+        """Rational combinations of gamma classes giving the target rows.
+
+        Every call tries the widths 2g+6, 2g+6+max(8, g), ... in that order,
+        each through the level's one solver for it."""
         want = 2 * self.space.genus + 6
         while True:
-            self._take_gammas(want)
-            basis = IntMatrix.from_rows(self._classes)
-            combo = solve_in_rowspace(basis, IntMatrix.from_rows(rows), integral=False)
-            if combo is not None:
-                return combo
+            solver = self.space.loop_solver(want)
+            combos = [solver.solve(row, integral=False) for row in rows]
+            if None not in combos:
+                return combos
             want += max(8, self.space.genus)
 
     def _gamma_period(self, i: int, tol: float) -> complex:
-        a, b, mod, d = self._gammas[i]
+        a, b, mod, d = self.space.gamma_loops[i]
         y = 1.0
         z0 = complex(-d / mod, y / mod)
         gz0 = complex(a / mod, 1.0 / (y * mod))
         return self._s_value(gz0, tol / 2) - self._s_value(z0, tol / 2)
 
-    def periods_of_rows(self, rows: list[list[int]], tol: float | None = None):
+    def periods_of_rows(self, rows: list[list[int]], tol: float):
         """Periods of cuspidal-coordinate rows, certified to tol each."""
-        tol = tol or self.tol
+        if tol <= 0:
+            raise ToleranceError("tolerance must be positive")
         combos = self._express(rows)
         out = []
         for combo in combos:
@@ -355,14 +316,10 @@ class NewformPeriods:
 def newform_period_lattice(space: ModSymSpace, f: RationalNewform,
                            tol: float) -> PeriodLattice:
     """Lattice of integrals of 2*pi*i*f over L / (L cap V_f-perp)."""
-    if tol <= 0:
-        raise ToleranceError("tolerance must be positive")
-    n2g = space.cuspidal_basis.rows
-    quot = complement_annihilator(homology_complement(space, f), n2g, 2)
+    quot = space.newform_data(f, homology_annihilator)
     lifts = solve_in_rowspace(quot.transpose(), IntMatrix.identity(2), integral=True)
     require(lifts is not None, "quotient coordinate map is not surjective")
-    calc = NewformPeriods(space, f, tol)
-    w1, w2 = calc.periods_of_rows(lifts.tolists(), tol)
+    w1, w2 = NewformPeriods(space, f).periods_of_rows(lifts.tolists(), tol)
     if (w1.conjugate() * w2).imag == 0:
         raise InconsistencyError("degenerate newform period lattice")
     if (w1.conjugate() * w2).imag < 0:

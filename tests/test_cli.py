@@ -41,6 +41,13 @@ def test_analyze_oversize_level(capsys):
     assert code == 2
 
 
+def test_analyze_just_past_level_ceiling(capsys):
+    """1001 is the first level past the fixed 1..1000 bound: a usage error,
+    not a traceback."""
+    code, _, err = run(capsys, "analyze", "1001")
+    assert code == 2 and "usage error" in err and "Traceback" not in err
+
+
 def test_certify_label_11a2(capsys):
     code, out, _ = run(capsys, "--format", "json", "certify", "--label", "11.a2")
     assert code == 0
@@ -157,19 +164,30 @@ def test_output_independent_of_earlier_requests(capsys):
     """A request's output does not depend on what ran before it in the
     process: numeric and selftest install a curve's a_p on their newforms
     and grow them past the Sturm bound, and a later analyze at the same
-    level must still print only the space's own a_p."""
+    level must still print only the space's own a_p.  The numeric queries
+    at 37 share the level's gamma loops and loop solvers, and the golden
+    numeric labels run in reverse order; each equals its golden file."""
     from manincert.modsym import build_space
 
+    numeric = [["--format", "json", "numeric", "--label", label]
+               for label in ("37.a1", "37.b1", "37.a1",
+                             "66.c1", "54.b1", "37.a1", "11.a2")]
     requests = (["numeric", "--label", "37.a1"],
                 ["--format", "json", "analyze", "37"],
                 ["selftest"],
-                ["analyze", "11"])
+                ["analyze", "11"],
+                *numeric)
     got = [run(capsys, *argv) for argv in requests]
-    fresh = [subprocess.run([sys.executable, "-m", "manincert.cli", *argv],
-                            env=_src_env(), capture_output=True, text=True,
-                            timeout=120)
-             for argv in requests]
-    assert got == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    fresh = {tuple(argv): subprocess.run(
+                 [sys.executable, "-m", "manincert.cli", *argv], env=_src_env(),
+                 capture_output=True, text=True, timeout=120)
+             for argv in requests}
+    runs = [fresh[tuple(argv)] for argv in requests]
+    assert got == [(r.returncode, r.stdout, r.stderr) for r in runs]
+    golden = Path(__file__).parent / "golden"
+    for argv, (_, out, _) in zip(requests, got):
+        if argv in numeric and argv[-1] != "37.b1":
+            assert out == (golden / f"numeric_{argv[-1]}.json").read_text()
     assert all(f._ap_provider is None
                for f in build_space(37).rational_eigenspaces())
 

@@ -118,15 +118,17 @@ def test_atkin_lehner_invariance_of_index_level_57():
 def test_square_index_without_scalar_composite_is_degree_error(monkeypatch):
     """At 37 the composite L_f -> L/L_perp is 2 times a unimodular map.  With
     one annihilator row scaled by 4 its |det| is 16, a square, but the map
-    is not multiplication by 4: the entry-gcd check must refuse it."""
-    from manincert import invariants
+    is not multiplication by 4: the entry-gcd check must refuse it.  The
+    space is fresh, so no annihilator an earlier test built can hide it."""
+    from manincert import heckeforms, modsym
     from manincert.intlattice import IntMatrix
     from manincert.invariants import DegreeConsistencyError
 
-    real = invariants.complement_annihilator
+    real = heckeforms.complement_annihilator
     scale = IntMatrix.from_rows([[1, 0], [0, 4]])
-    monkeypatch.setattr(invariants, "complement_annihilator",
+    monkeypatch.setattr(heckeforms, "complement_annihilator",
                         lambda comp, n, rank: scale * real(comp, n, rank))
+    monkeypatch.setattr(modsym, "_SPACES", {})
     s = build_space(37)
     with pytest.raises(DegreeConsistencyError, match="multiplication by 4"):
         modular_degree(s, s.rational_eigenspaces()[0])
@@ -135,16 +137,18 @@ def test_square_index_without_scalar_composite_is_degree_error(monkeypatch):
 def test_wrong_rank_complement_is_invariant_error(monkeypatch):
     """A Hecke complement that also holds a vector of f's eigenspace leaves a
     rank-1 quotient; at 57 the homology index is still a square, so the
-    quotient-rank check is what catches it."""
-    from manincert import invariants
-    from manincert.heckeforms import homology_complement
+    quotient-rank check is what catches it (on a fresh space, so no
+    annihilator an earlier test built can hide it)."""
+    from manincert import heckeforms, modsym
     from manincert.intlattice import IntMatrix, InvariantError, stack
 
+    monkeypatch.setattr(modsym, "_SPACES", {})
     s = build_space(57)
     f = s.rational_eigenspaces()[0]
-    bad = stack(homology_complement(s, f),
-                IntMatrix.from_rows(f.eigenspace.basis.entries[:1]))
-    monkeypatch.setattr(invariants, "homology_complement", lambda space, g: bad)
+    real = heckeforms.hecke_complement_rows(s.hecke_on_cuspidal, f,
+                                            s.cuspidal_basis.rows - 2)
+    bad = stack(real, IntMatrix.from_rows(f.eigenspace.basis.entries[:1]))
+    monkeypatch.setattr(heckeforms, "hecke_complement_rows", lambda *args: bad)
     with pytest.raises(InvariantError, match="quotient of rank 1"):
         modular_degree(s, f)
 
@@ -161,7 +165,6 @@ def test_annihilator_readoff_matches_lattice_sum_route(level):
         complement_annihilator,
         hecke_algebra,
         hecke_complement_rows,
-        homology_complement,
         isotypic_complement_on_dual,
     )
     from manincert.intlattice import (
@@ -185,7 +188,8 @@ def test_annihilator_readoff_matches_lattice_sum_route(level):
     n, g, k = s.cuspidal_basis.rows, alg.genus, s.rank
     for f in s.rational_eigenspaces():
         d = modular_degree(s, f)
-        square = index(n, f.eigenspace, homology_complement(s, f))
+        square = index(n, f.eigenspace,
+                       hecke_complement_rows(s.hecke_on_cuspidal, f, n - 2))
         assert d.index_used == square == d.degree ** 2
         x = alg.newform_coordinates(f)
         line = lattice_from_rows(g, [[v // gcd(*x) for v in x]])

@@ -28,8 +28,7 @@ def matched_newform(n, ainvs):
     m = minimal_model_from_ainvs(ainvs)
     s = build_space(n)
     f = match_curve_to_newform(m, n, s.rational_eigenspaces())
-    f._ap_provider = curve_ap_provider(m)
-    return s, f, m
+    return s, dataclasses.replace(f, _ap_provider=curve_ap_provider(m)), m
 
 
 def test_agm_real_period_11a1():
@@ -68,6 +67,13 @@ def test_tolerance_errors():
         newform_period_lattice(s, f, -1.0)
 
 
+def test_periods_of_rows_refuses_zero_tolerance():
+    """A zero tolerance is refused, not replaced by another one."""
+    s, f, _ = matched_newform(11, E11)
+    with pytest.raises(ToleranceError):
+        NewformPeriods(s, f).periods_of_rows([[1, 0]], 0.0)
+
+
 def test_newform_lattice_matches_neron_11():
     s, f, m = matched_newform(11, E11)
     lat_e = elliptic_period_lattice(m, 1e-10)
@@ -87,7 +93,7 @@ def test_newform_lattice_matches_neron_37():
 def test_doubling_terms_convergence_certificate():
     """Doubling the series length moves each period by less than tol."""
     s, f, _ = matched_newform(11, E11)
-    calc = NewformPeriods(s, f, 1e-9)
+    calc = NewformPeriods(s, f)
     rows = [list(r) for r in s.cuspidal_basis.entries][:1]
     base = calc.periods_of_rows([[1, 0], [0, 1]], 1e-9)
     finer = calc.periods_of_rows([[1, 0], [0, 1]], 1e-12)
@@ -97,7 +103,7 @@ def test_doubling_terms_convergence_certificate():
 
 def test_periods_invariant_under_rebasing():
     s, f, _ = matched_newform(11, E11)
-    calc = NewformPeriods(s, f, 1e-10)
+    calc = NewformPeriods(s, f)
     p1, p2 = calc.periods_of_rows([[1, 0], [0, 1]], 1e-10)
     q1, q2 = calc.periods_of_rows([[1, 1], [2, 1]], 1e-10)
     assert abs(q1 - (p1 + p2)) < 1e-9
@@ -114,7 +120,7 @@ def test_covolume_ratio_is_degree_squared():
         s, f, m = matched_newform(n, ainvs)
         deg = modular_degree(s, f).degree
         lat_f = newform_period_lattice(s, f, 1e-10)
-        calc = NewformPeriods(s, f, 1e-10)
+        calc = NewformPeriods(s, f)
         w1, w2 = calc.periods_of_rows(f.eigenspace.basis.tolists(), 1e-10)
         cov_sub = abs((w1.conjugate() * w2).imag)
         ratio = cov_sub / lat_f.covolume()
@@ -133,52 +139,69 @@ def test_nonminimal_scaled_curve_flagged():
 
 def test_fricke_identity_verified_numerically():
     s, f, _ = matched_newform(11, E11)
-    calc = NewformPeriods(s, f, 1e-9)
+    calc = NewformPeriods(s, f)
     calc._verify_fricke()  # 11a has eigenvalue -1; identity must hold
     assert calc.w_fricke == -1
 
 
 def test_homology_complement_computed_once_per_newform(monkeypatch):
-    """The degree and the period lattice of one newform share one Hecke
-    complement in the cuspidal homology; a dataclasses.replace copy computes
-    its own.  The a_p provider's complement on class coordinates, which the
-    periods need past the stored primes, is a different one and is counted
-    apart."""
-    calls, coord_calls = [], []
-    orig = heckeforms.hecke_complement_rows
-
-    def counting(*args):
-        (calls if args[0] == s.hecke_on_cuspidal else coord_calls).append(args)
-        return orig(*args)
-
-    monkeypatch.setattr(heckeforms, "hecke_complement_rows", counting)
+    """The space builds what the split fixes for a newform once: across two
+    dataclasses.replace copies of each newform at 37 and two numeric queries
+    there, the Hecke complement on the cuspidal lattice is computed once per
+    newform, so is the dual eigenvector's (on class coordinates), and the
+    gamma-class solver once per loop width.  No copy ever carries an a_p
+    source the package set on it."""
+    from manincert import intlattice, modsym
+    from manincert.cli import main
     from manincert.invariants import modular_degree
 
+    monkeypatch.setattr(modsym, "_SPACES", {})
     s = build_space(37)
-    for g in s.rational_eigenspaces():
-        calls.clear()
-        coord_calls.clear()
-        f = dataclasses.replace(g, ap=dict(g.ap), _an=dict(g._an))
+    calls, coord_calls, loop_widths = [], [], []
+    orig = heckeforms.hecke_complement_rows
+    orig_hnf = intlattice.hnf_with_transform
+
+    def counting(*args):
+        (calls if args[0] == s.hecke_on_cuspidal else coord_calls).append(args[1])
+        return orig(*args)
+
+    def counting_hnf(m):
+        # the gamma-class bases: 2g columns, at least 2g + 6 rows
+        n2g = s.cuspidal_basis.rows
+        if m.cols == n2g and m.rows >= n2g + 6:
+            loop_widths.append(m.rows)
+        return orig_hnf(m)
+
+    monkeypatch.setattr(heckeforms, "hecke_complement_rows", counting)
+    monkeypatch.setattr(intlattice, "hnf_with_transform", counting_hnf)
+    forms = s.rational_eigenspaces()
+    copies = [dataclasses.replace(g, ap=dict(g.ap), _an=dict(g._an))
+              for _ in range(2) for g in forms]
+    for f in copies:
         assert modular_degree(s, f).degree == 2
         newform_period_lattice(s, f, 1e-9)
-        assert len(calls) == 1
-        copy = dataclasses.replace(f)
-        assert copy._complement is None
-        assert heckeforms.homology_complement(s, copy) == f._complement
-        assert len(calls) == 2
-        assert all(c[0] == s.hecke_on_coords for c in coord_calls)
-        assert len(coord_calls) <= 1
+        f.prime_eigenvalue(101)  # past the stored primes: the dual eigenvector
+    for label in ("37.a1", "37.b1"):
+        assert main(["numeric", "--label", label]) == 0
+    assert len(calls) == len(forms) == 2
+    assert len(coord_calls) == len(forms)
+    assert loop_widths and sorted(loop_widths) == sorted(set(loop_widths))
+    assert all(f._ap_provider is None for f in copies + s.rational_eigenspaces())
 
 
 def test_wrong_rank_complement_is_invariant_error(monkeypatch):
     """A Hecke complement short of one row leaves a rank-3 quotient, which
-    the period lattice refuses with a typed error."""
-    from manincert import periods
+    the period lattice refuses with a typed error (on a fresh space, so no
+    annihilator an earlier test built can hide it)."""
+    from manincert import modsym
     from manincert.intlattice import IntMatrix, InvariantError
 
+    monkeypatch.setattr(modsym, "_SPACES", {})
     s = build_space(37)
     f = s.rational_eigenspaces()[0]
-    short = IntMatrix.from_rows(heckeforms.homology_complement(s, f).entries[1:])
-    monkeypatch.setattr(periods, "homology_complement", lambda space, g: short)
+    real = heckeforms.hecke_complement_rows(s.hecke_on_cuspidal, f,
+                                            s.cuspidal_basis.rows - 2)
+    short = IntMatrix.from_rows(real.entries[1:])
+    monkeypatch.setattr(heckeforms, "hecke_complement_rows", lambda *args: short)
     with pytest.raises(InvariantError, match="quotient of rank 3"):
         newform_period_lattice(s, f, 1e-9)
