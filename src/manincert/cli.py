@@ -27,6 +27,8 @@ from .certify import (
 )
 from .elliptic import (
     MatchingError,
+    ModelSizeError,
+    SingularCurveError,
     minimal_model_from_ainvs,
     match_curve_to_newform,
     curve_ap_provider,
@@ -46,6 +48,7 @@ from .modsym import build_space
 from .periods import (
     InconsistencyError,
     ToleranceError,
+    check_tolerance,
     elliptic_period_lattice,
     manin_constant_numeric,
     newform_period_lattice,
@@ -177,11 +180,8 @@ def run_census(args, catalog: Catalog, fmt: str) -> int:
 
 
 def run_numeric(args, catalog: Catalog, fmt: str) -> int:
-    tol = args.tol
-    if tol is None:
-        tol = 1e-8
-    if tol <= 0:
-        raise UsageError("--tol must be positive")
+    tol = 1e-8 if args.tol is None else args.tol
+    check_tolerance(tol)
     record = _resolve_record(args, catalog)
     space = build_space(record.conductor)
     f = replace(match_curve_to_newform(record.model, record.conductor,
@@ -281,10 +281,8 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return run_selftest(args.format)
         raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ToleranceError as exc:
+    except (UsageError, ToleranceError, LabelError, MatchingError,
+            SingularCurveError, ModelSizeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except NotOptimalError as exc:
@@ -296,9 +294,6 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"numeric inconsistency: {exc}", file=sys.stderr)
         return 6
-    except (LabelError, MatchingError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 7

@@ -12,6 +12,13 @@ from .heckeforms import RationalNewform, sturm_bound
 from .intlattice import require
 
 
+SIEVE_BITS = 20  # minimal_model sieves primes below 6 * 2^SIEVE_BITS at most
+
+
+class ModelSizeError(ValueError):
+    """c-invariants too large for the prime search of minimal_model."""
+
+
 class SingularCurveError(ValueError):
     """Zero discriminant."""
 
@@ -134,6 +141,9 @@ def minimal_model(w: WeierstrassModel) -> MinimalModel:
     require(c4i.denominator == 1 and c6i.denominator == 1,
             "scaled c-invariants are not integral")
     c4i, c6i = int(c4i), int(c6i)
+    # the prime search below sieves up to about 6 max(|c4|^(1/4), |c6|^(1/6))
+    if abs(c4i).bit_length() > 4 * SIEVE_BITS or abs(c6i).bit_length() > 6 * SIEVE_BITS:
+        raise ModelSizeError(f"c-invariants need a prime sieve past 6 * 2^{SIEVE_BITS}")
 
     # Maximize the rational scaling u = d/w (w | 6: obstructions to realizing
     # an integral (c4, c6) pair live only at 2 and 3) such that

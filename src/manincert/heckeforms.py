@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import factorize, primes_up_to
+from .arith import primes_up_to
 from .intlattice import (
     IntMatrix,
     InvariantError,
@@ -114,35 +114,31 @@ def eigen_ap_provider(space, f: RationalNewform):
     return provider
 
 
-def extend_an(f: RationalNewform, n: int) -> int:
-    """a_n by multiplicativity and the Hecke recursion at prime powers."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    if n == 1:
-        return 1
-    if n in f._an:
-        return f._an[n]
-    fac = factorize(n)
-    if len(fac) > 1:
-        out = 1
-        for p, e in fac.items():
-            out *= extend_an(f, p**e)
-    else:
-        ((p, e),) = fac.items()
-        ap = f.prime_eigenvalue(p)
-        if f.level % p == 0:
-            out = ap**e
-        else:
-            prev, cur = 1, ap  # a_{p^0}, a_{p^1}
-            for _ in range(e - 1):
-                prev, cur = cur, ap * cur - p * prev
-            out = cur
-    f._an[n] = out
-    return out
-
-
 def a_list(f: RationalNewform, B: int) -> list[int]:
-    return [extend_an(f, n) for n in range(1, B + 1)]
+    """[a_1, ..., a_B] of f.  f._an holds a prefix a_1..a_k, filled on in
+    increasing n: a_n = a_{p^e} a_m for the least prime p of n = p^e m, p
+    not dividing m, and a_{p^e} = a_p a_{p^(e-1)} - p a_{p^(e-2)} (a_p^e if
+    p | N).  A sieve gives the least primes of k+1..B: nothing is factorized,
+    and prime_eigenvalue runs once per new prime, in increasing order."""
+    an = f._an
+    lo = len(an) + 1
+    if B >= lo:
+        least = [0] * (B - lo + 1)  # least prime factor of lo..B; 0 at 1 and primes
+        for p in reversed(primes_up_to(isqrt(B))):
+            start = max(p * p, -(-lo // p) * p)
+            least[start - lo::p] = [p] * len(range(start, B + 1, p))
+        for n, p in enumerate(least, lo):
+            if not p:
+                an[n] = f.prime_eigenvalue(n) if n > 1 else 1
+                continue
+            m = n // p
+            while m % p == 0:
+                m //= p
+            if m > 1:  # n = p^e m
+                an[n] = an[n // m] * an[m]
+            else:  # n = p^e, e >= 2
+                an[n] = an[p] * an[n // p] - (p * an[n // p // p] if f.level % p else 0)
+    return [an[n] for n in range(1, B + 1)]
 
 
 class HeckeAlgebra:

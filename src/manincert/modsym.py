@@ -844,7 +844,8 @@ class ModSymSpace:
     def newform_data(self, f, build):
         """build(self, g) for the space's own newform g with f's eigenspace,
         computed once per newform and `build`: what the split fixes for a
-        newform (heckeforms.homology_annihilator, eigen_ap_provider)."""
+        newform (heckeforms.homology_annihilator, eigen_ap_provider,
+        periods.period_lifts)."""
         key = (build, self.newform_index(f))
         if key not in self._newform_data:
             self._newform_data[key] = build(self, self._newforms[key[1]])

@@ -14,13 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .heckeforms import RationalNewform, extend_an, homology_annihilator
+from .heckeforms import RationalNewform, a_list, homology_annihilator
 from .intlattice import IntMatrix, require, solve_in_rowspace
 from .modsym import ModSymSpace
 
 
 class ToleranceError(ValueError):
-    """Nonpositive tolerance."""
+    """Nonpositive or non-finite tolerance."""
 
 
 class ConvergenceError(RuntimeError):
@@ -33,6 +33,12 @@ class InconsistencyError(RuntimeError):
 
 TERM_CAP = 5_000_000
 AGM_CAP = 200
+
+
+def check_tolerance(tol: float):
+    """Refuse a tolerance that is not a positive finite number (NaN too)."""
+    if not 0 < tol < math.inf:
+        raise ToleranceError(f"tolerance must be positive and finite, not {tol}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,7 @@ def _real_roots_of_quartic_free_cubic(b2: int, b4: int, b6: int):
 
 def elliptic_period_lattice(m, tol: float) -> PeriodLattice:
     """Neron period lattice of a minimal model via real AGM."""
-    if tol <= 0:
-        raise ToleranceError("tolerance must be positive")
+    check_tolerance(tol)
     b2, b4, b6, _ = m.b_invariants()
     b2, b4, b6 = int(b2), int(b4), int(b6)
     if m.delta_min > 0:
@@ -185,28 +190,25 @@ class NewformPeriods:
         self.w_fricke = 1
         for s in f.sign_w.values():
             self.w_fricke *= s
-        self._an: list[int] = [0]  # a_0 unused
         self._star_height = 1.0 / math.sqrt(self.N)
         self._s_star: complex | None = None
         self._fricke_checked = False
 
-    # -- coefficients --------------------------------------------------------
+    # -- q-series ------------------------------------------------------------
 
-    def _ensure_an(self, n: int):
-        while len(self._an) <= n:
-            self._an.append(extend_an(self.f, len(self._an)))
-
-    def _f_value(self, z: complex, tol: float) -> complex:
-        """f(z) = sum a_n e^{2 pi i n z} with certified tail <= tol."""
-        y = z.imag
-        m = self._terms_needed(y, tol, weight_extra=1)
-        self._ensure_an(m)
+    def _q_sum(self, z: complex, tol: float, over_n: bool = True) -> complex:
+        """sum w_n e^{2 pi i n z} with certified tail <= tol, where w_n is
+        a_n / n (the S-sum) if over_n, else a_n (f(z) itself)."""
+        m = self._terms_needed(z.imag, tol, weight_extra=0 if over_n else 1)
+        weights = a_list(self.f, m)
+        if over_n:
+            weights = [a / n for n, a in enumerate(weights, 1)]
         q = cmath.exp(2j * math.pi * z)
         acc = 0j
         qn = 1.0 + 0j
-        for n in range(1, m + 1):
+        for w in weights:
             qn *= q
-            acc += self._an[n] * qn
+            acc += w * qn
         return acc
 
     @staticmethod
@@ -233,26 +235,14 @@ class NewformPeriods:
 
     # -- the S-sum with the Fricke reflection ---------------------------------
 
-    def _s_raw(self, z: complex, tol: float) -> complex:
-        """S(z) = sum (a_n / n) e^{2 pi i n z}, certified tail <= tol."""
-        m = self._terms_needed(z.imag, tol)
-        self._ensure_an(m)
-        q = cmath.exp(2j * math.pi * z)
-        acc = 0j
-        qn = 1.0 + 0j
-        for n in range(1, m + 1):
-            qn *= q
-            acc += self._an[n] / n * qn
-        return acc
-
     def _verify_fricke(self):
         if self._fricke_checked:
             return
         n = self.N
         z = complex(0.17, 1.31 / math.sqrt(n))
         wz = -1.0 / (n * z)
-        fz = self._f_value(z, 1e-9)
-        fwz = self._f_value(wz, 1e-9)
+        fz = self._q_sum(z, 1e-9, over_n=False)
+        fwz = self._q_sum(wz, 1e-9, over_n=False)
         predicted = self.w_fricke * n * z * z * fz
         scale = max(abs(fwz), abs(predicted), 1e-9)
         if abs(fwz - predicted) > 1e-3 * scale:
@@ -269,10 +259,10 @@ class NewformPeriods:
             self._verify_fricke()
             w = self.w_fricke
             if self._s_star is None or self._s_star_tol > tol / 4:
-                self._s_star = self._s_raw(complex(0.0, self._star_height), tol / 4)
+                self._s_star = self._q_sum(complex(0.0, self._star_height), tol / 4)
                 self._s_star_tol = tol / 4
-            return w * self._s_raw(wz, tol / 4) - (w - 1) * self._s_star
-        return self._s_raw(z, tol)
+            return w * self._q_sum(wz, tol / 4) - (w - 1) * self._s_star
+        return self._q_sum(z, tol)
 
     # -- gamma loops ----------------------------------------------------------
 
@@ -298,8 +288,7 @@ class NewformPeriods:
 
     def periods_of_rows(self, rows: list[list[int]], tol: float):
         """Periods of cuspidal-coordinate rows, certified to tol each."""
-        if tol <= 0:
-            raise ToleranceError("tolerance must be positive")
+        check_tolerance(tol)
         combos = self._express(rows)
         out = []
         for combo in combos:
@@ -316,15 +305,22 @@ class NewformPeriods:
 def newform_period_lattice(space: ModSymSpace, f: RationalNewform,
                            tol: float) -> PeriodLattice:
     """Lattice of integrals of 2*pi*i*f over L / (L cap V_f-perp)."""
-    quot = space.newform_data(f, homology_annihilator)
-    lifts = solve_in_rowspace(quot.transpose(), IntMatrix.identity(2), integral=True)
-    require(lifts is not None, "quotient coordinate map is not surjective")
+    lifts = space.newform_data(f, period_lifts)
     w1, w2 = NewformPeriods(space, f).periods_of_rows(lifts.tolists(), tol)
     if (w1.conjugate() * w2).imag == 0:
         raise InconsistencyError("degenerate newform period lattice")
     if (w1.conjugate() * w2).imag < 0:
         w2 = -w2
     return _canonicalize(w1, w2, tol)
+
+
+def period_lifts(space: ModSymSpace, f: RationalNewform) -> IntMatrix:
+    """Cuspidal rows that f's homology annihilator maps onto the unit vectors
+    of Z^2, built once per newform by the space (ModSymSpace.newform_data)."""
+    quot = space.newform_data(f, homology_annihilator)
+    lifts = solve_in_rowspace(quot.transpose(), IntMatrix.identity(2), integral=True)
+    require(lifts is not None, "quotient coordinate map is not surjective")
+    return lifts
 
 
 def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
@@ -363,8 +359,7 @@ def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
 def manin_constant_numeric(lat_e: PeriodLattice, lat_f: PeriodLattice,
                            tol: float):
     """|c| with Lambda_f = c * Lambda_E, asserted to be a nonzero integer."""
-    if tol <= 0:
-        raise ToleranceError("tolerance must be positive")
+    check_tolerance(tol)
     ce = _canonicalize(lat_e.omega1, lat_e.omega2, lat_e.precision)
     cf = _canonicalize(lat_f.omega1, lat_f.omega2, lat_f.precision)
     c = cf.omega1.real / ce.omega1.real

@@ -233,9 +233,21 @@ def test_numeric_11a2(capsys):
     assert payload["residual"] < 1e-6
 
 
-def test_numeric_tol_zero_usage_error(capsys):
-    code, _, _ = run(capsys, "numeric", "--label", "11.a2", "--tol", "0")
-    assert code == 2
+@pytest.mark.parametrize("tol", ("0", "nan", "inf", "-inf"))
+def test_numeric_tol_zero_usage_error(capsys, tol):
+    """A zero, NaN or infinite --tol is a usage error, not a traceback."""
+    code, _, err = run(capsys, "numeric", "--label", "11.a2", f"--tol={tol}")
+    assert code == 2 and "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", (
+    ("certify", "--ainvs", "0,0,0,0,0"),      # singular
+    ("numeric", "--ainvs", "0,0,0,0,0"),
+    ("certify", "--ainvs", "0,0,0,1e400,0"),  # refused before any sieve
+))
+def test_malformed_ainvs_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "usage error" in err and "Traceback" not in err
 
 
 def test_selftest(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from manincert.elliptic import (
     BadReductionError,
     MatchingError,
+    ModelSizeError,
     SingularCurveError,
     WeierstrassModel,
     ap_via_counting,
@@ -53,6 +54,18 @@ def test_minimal_model_rational_input():
 def test_singular_rejected():
     with pytest.raises(SingularCurveError):
         minimal_model(WeierstrassModel.from_ainvs((0, 0, 0, 0, 0)))
+
+
+def test_oversize_model_refused_before_the_sieve(monkeypatch):
+    """c4 of about 10^401 would ask for primes up to about 10^100: refused
+    before any sieve is sized, for c4 and for c6."""
+    def no_sieve(n):
+        raise AssertionError(f"sieve sized at {n}")
+
+    monkeypatch.setattr(elliptic, "primes_up_to", no_sieve)
+    for ainvs in ((0, 0, 0, 10**400, 0), (0, 0, 0, 0, 10**400)):
+        with pytest.raises(ModelSizeError):
+            minimal_model_from_ainvs(ainvs)
 
 
 def test_two_torsion_ranks():

@@ -1,13 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 
-from manincert import heckeforms
+from manincert import arith, heckeforms
 from manincert.heckeforms import (
     PrecisionError,
+    RationalNewform,
     a_list,
     congruence_number,
-    extend_an,
     hecke_algebra,
     sturm_bound,
 )
@@ -22,12 +23,39 @@ from manincert.intlattice import (
     standard_lattice,
     subspace_integer_points,
 )
-from manincert.arith import primes_up_to
+from manincert.arith import factorize, primes_up_to
 from manincert.modsym import build_space
 
 
 def newform(n, i=0):
     return build_space(n).rational_eigenspaces()[i]
+
+
+def curve_newform(label):
+    """The newform of a snapshot curve, with the curve's point counts as its
+    a_p source, as `manincert numeric` sets it up."""
+    from manincert import lmfdb
+    from manincert.elliptic import curve_ap_provider, match_curve_to_newform
+
+    rec = lmfdb.record_from_entry(lmfdb.fixture_entries()[label])
+    f = match_curve_to_newform(rec.model, rec.conductor,
+                               build_space(rec.conductor).rational_eigenspaces())
+    return dataclasses.replace(f, _ap_provider=curve_ap_provider(rec.model))
+
+
+def reference_an(f, n, memo):
+    """a_n by factorizing n: multiplicativity over the factors, and the Hecke
+    recursion at each prime power (a_p^e when p | N)."""
+    if n not in memo:
+        out = 1
+        for p, e in factorize(n).items():
+            ap = f.prime_eigenvalue(p)
+            prev, cur = 1, ap  # a_{p^0}, a_{p^1}
+            for _ in range(e - 1):
+                prev, cur = cur, ap * cur - (p * prev if f.level % p else 0)
+            out *= cur
+        memo[n] = out
+    return memo[n]
 
 
 def test_sturm_bound_values():
@@ -36,18 +64,65 @@ def test_sturm_bound_values():
     assert sturm_bound(130) == 42
 
 
-def test_extend_an_examples():
+def test_a_list_examples():
     f = newform(11)
-    assert extend_an(f, 1) == 1
-    assert extend_an(f, 4) == 2           # a2^2 - 2
-    assert extend_an(f, 6) == 2           # a2 * a3
-    assert a_list(f, 10) == [1, -2, -1, 2, 1, 2, -2, 0, -2, -2]
+    an = a_list(f, 10)
+    assert an[0] == 1
+    assert an[3] == 2           # a2^2 - 2
+    assert an[5] == 2           # a2 * a3
+    assert an == [1, -2, -1, 2, 1, 2, -2, 0, -2, -2]
 
 
 def test_an_prime_power_recursion_bad_prime():
     f = newform(11)
     # 11 || 11: a_{11^r} = a_11^r
-    assert extend_an(f, 121) == extend_an(f, 11) ** 2
+    an = a_list(f, 121)
+    assert an[120] == an[10] ** 2
+
+
+@pytest.mark.parametrize("label", ("11.a2", "37.a1", "54.a1", "130.a2", "198.d4"))
+def test_a_list_matches_factorizing_recursion(label):
+    """The sieve-order fill agrees with the recursion over factorizations up
+    to n = 2000 (at 54, 3^3 divides the level)."""
+    f = curve_newform(label)
+    got = a_list(f, 2000)
+    ref = dataclasses.replace(f, ap=dict(f.ap), _an={})
+    memo = {}
+    assert got == [reference_an(ref, n, memo) for n in range(1, 2001)]
+
+
+def test_a_list_asks_each_prime_once_in_order(monkeypatch):
+    """prime_eigenvalue runs once per prime, in increasing order, also when
+    the fill resumes from a shorter prefix; and no index is factorized."""
+    f = curve_newform("130.a2")
+    asked = []
+    eigenvalue = RationalNewform.prime_eigenvalue
+
+    def recording(self, p):
+        asked.append(p)
+        return eigenvalue(self, p)
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) inside a_list")
+
+    monkeypatch.setattr(RationalNewform, "prime_eigenvalue", recording)
+    for mod in (arith, heckeforms):
+        monkeypatch.setattr(mod, "factorize", refuse, raising=False)
+    a_list(f, 700)
+    a_list(f, 1500)
+    assert asked == primes_up_to(1500)
+
+
+def test_a_list_keeps_a_prefix():
+    """After calls of mixed lengths f._an holds exactly a_1..a_k, k the
+    longest, and each call reads the same series."""
+    f = newform(37)
+    full = a_list(f, 300)
+    f = newform(37)
+    for b in (10, 3, 0, 250, 40, 300, 1):
+        assert a_list(f, b) == full[:b]
+        assert list(f._an) == list(range(1, len(f._an) + 1))
+    assert len(f._an) == 300
 
 
 def test_hasse_bound_on_extracted_ap():

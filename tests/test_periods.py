@@ -5,7 +5,6 @@ import pytest
 
 from manincert import heckeforms
 from manincert.elliptic import curve_ap_provider, minimal_model_from_ainvs
-from manincert.heckeforms import a_list
 from manincert.modsym import build_space
 from manincert.periods import (
     ConvergenceError,
@@ -148,18 +147,19 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     """The space builds what the split fixes for a newform once: across two
     dataclasses.replace copies of each newform at 37 and two numeric queries
     there, the Hecke complement on the cuspidal lattice is computed once per
-    newform, so is the dual eigenvector's (on class coordinates), and the
-    gamma-class solver once per loop width.  No copy ever carries an a_p
-    source the package set on it."""
-    from manincert import intlattice, modsym
+    newform, so is the dual eigenvector's (on class coordinates) and the
+    solve for the period lifts, and the gamma-class solver once per loop
+    width.  No copy ever carries an a_p source the package set on it."""
+    from manincert import intlattice, modsym, periods
     from manincert.cli import main
     from manincert.invariants import modular_degree
 
     monkeypatch.setattr(modsym, "_SPACES", {})
     s = build_space(37)
-    calls, coord_calls, loop_widths = [], [], []
+    calls, coord_calls, loop_widths, lift_solves = [], [], [], []
     orig = heckeforms.hecke_complement_rows
     orig_hnf = intlattice.hnf_with_transform
+    orig_solve = periods.solve_in_rowspace
 
     def counting(*args):
         (calls if args[0] == s.hecke_on_cuspidal else coord_calls).append(args[1])
@@ -172,8 +172,14 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
             loop_widths.append(m.rows)
         return orig_hnf(m)
 
+    def counting_solve(basis, targets, **kw):
+        # the lifts: the annihilator's transpose, 2 columns, against I_2
+        lift_solves.extend([basis] if basis.cols == 2 else [])
+        return orig_solve(basis, targets, **kw)
+
     monkeypatch.setattr(heckeforms, "hecke_complement_rows", counting)
     monkeypatch.setattr(intlattice, "hnf_with_transform", counting_hnf)
+    monkeypatch.setattr(periods, "solve_in_rowspace", counting_solve)
     forms = s.rational_eigenspaces()
     copies = [dataclasses.replace(g, ap=dict(g.ap), _an=dict(g._an))
               for _ in range(2) for g in forms]
@@ -185,6 +191,7 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
         assert main(["numeric", "--label", label]) == 0
     assert len(calls) == len(forms) == 2
     assert len(coord_calls) == len(forms)
+    assert len(lift_solves) == len(forms)
     assert loop_widths and sorted(loop_widths) == sorted(set(loop_widths))
     assert all(f._ap_provider is None for f in copies + s.rational_eigenspaces())
 
