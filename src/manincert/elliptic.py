@@ -127,13 +127,17 @@ def minimal_model(w: WeierstrassModel) -> MinimalModel:
     if delta == 0:
         raise SingularCurveError("discriminant is zero")
     c4, c6 = w.c_invariants()
-    # scale to integral invariants
-    den = (c4.denominator * c6.denominator)
+    # scale to integral invariants by the least u_den with den(c4) | u_den^4
+    # and den(c6) | u_den^6; their primes all divide some a_i denominator,
+    # which trial division factors only below 2^(2 SIEVE_BITS)
+    dens = {a.denominator for a in (w.a1, w.a2, w.a3, w.a4, w.a6)}
+    if max(dens).bit_length() > 2 * SIEVE_BITS:
+        raise ModelSizeError(f"a coefficient denominator past 2^{2 * SIEVE_BITS}")
     u_den = 1
-    for p in factorize(den):
+    for p in set().union(*map(factorize, dens)):
         e = 0
-        while c4.denominator % p**(4 * (e + 1)) == 0 or \
-                c6.denominator % p**(6 * (e + 1)) == 0:
+        while c4.denominator % p**(4 * e + 1) == 0 or \
+                c6.denominator % p**(6 * e + 1) == 0:
             e += 1
         u_den *= p**e
     c4i = c4 * u_den**4

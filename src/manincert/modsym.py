@@ -82,68 +82,32 @@ def genus_x0(n: int) -> int:
 # P^1(Z/NZ)
 
 
-def _lift_unit(n: int, d: int, a: int) -> int:
-    """Lift a unit a modulo d (d | n) to a unit modulo n."""
-    u, v = 1, n
-    g = gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = gcd(v, g)
-    x, y, _ = xgcd(u, v)
-    return (u * x + a * y * v) % n
-
-
 class P1List:
-    """Canonical representatives for P^1(Z/NZ) (Stein, Algs. 8.29/8.32).
-
-    `table[c][d]` is the index of (c : d) for residues c, d mod N, or -1 when
-    gcd(c, d, N) > 1.  Each valid pair is a unit multiple of exactly one
-    representative, so the table is filled from the unit orbits of the
-    representatives (Cremona, Algorithms for Modular Elliptic Curves, 2.2).
+    """Representatives for P^1(Z/NZ): the least pair (c, d) of each unit orbit
+    {(ct, dt) : t a unit mod N} of residue pairs with gcd(c, d, N) = 1
+    (Stein, Algs. 8.29/8.32; Cremona, Algorithms for Modular Elliptic Curves,
+    2.2).  The least pair of an orbit has c = gcd(c, N) mod N, so one scan of
+    those c in increasing order, d = 0..N-1, meets each orbit first at its
+    least pair.  `table[c][d]` is the index of the orbit of (c : d), or -1
+    when gcd(c, d, N) > 1.
     """
 
     def __init__(self, N: int):
         self.N = N
-        reps = set()
-        for c in divisors(N) + ([0] if N > 1 else []):
-            for d in range(N):
-                pt = self.normalize(c, d)
-                if pt is not None:
-                    reps.add(pt)
-        if N == 1:
-            reps = {(0, 0)}
-        self.pairs: list[tuple[int, int]] = sorted(reps)
-        self.lookup = {p: i for i, p in enumerate(self.pairs)}
-        require(len(self.pairs) == index_mu(N),
-                f"P^1(Z/{N}Z) has {len(self.pairs)} points, not {index_mu(N)}")
         units = [t for t in range(N) if gcd(t, N) == 1]
         self.table = [[-1] * N for _ in range(N)]
-        for i, (c, d) in enumerate(self.pairs):
-            for t in units:
-                self.table[c * t % N][d * t % N] = i
+        self.pairs: list[tuple[int, int]] = []
+        for c in sorted({g % N for g in divisors(N)}):
+            for d in range(N):
+                if self.table[c][d] < 0 and gcd(gcd(c, d), N) == 1:
+                    for t in units:
+                        self.table[c * t % N][d * t % N] = len(self.pairs)
+                    self.pairs.append((c, d))
+        require(len(self.pairs) == index_mu(N),
+                f"P^1(Z/{N}Z) has {len(self.pairs)} points, not {index_mu(N)}")
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def normalize(self, u: int, v: int):
-        """Canonical form of (u : v), or None when gcd(u, v, N) > 1."""
-        N = self.N
-        if N == 1:
-            return (0, 0)
-        u %= N
-        v %= N
-        if u == 0:
-            return (0, 1) if gcd(v, N) == 1 else None
-        x, s, g = xgcd(N, u)
-        if gcd(g, v) > 1:
-            return None
-        s = _lift_unit(N, N // g, s)
-        u, v = g, (s * v) % N
-        if g == 1:
-            return (1, v)
-        v = min((v * t) % N for t in range(1, N, N // g) if gcd(N, t) == 1)
-        return (g, v)
 
     def index(self, u: int, v: int):
         i = self.table[u % self.N][v % self.N]
@@ -260,7 +224,6 @@ class ModSymSpace:
         self._build_boundary()
         self._hecke_coord_cache: dict[int, IntMatrix] = {}
         self._hecke_cusp_cache: dict[int, IntMatrix] = {}
-        self._lower_cache: dict[tuple[int, int], IntMatrix] = {}
         self._al_cache: dict[int, IntMatrix] = {}
         self._newform_data: dict = {}  # (build, newform index) -> its result
         self.gamma_loops: list[tuple[int, int, int, int]] = []  # see loop_solver
@@ -280,117 +243,75 @@ class ModSymSpace:
 
     def _build_coordinates(self):
         mu = self.mu
-        zero = [False] * mu
+        # x + xS = 0: the larger symbol of each S-pair is minus the smaller
+        # (its variable); an S-fixed symbol is 2-torsion, and a U-fixed one
+        # 3-torsion, so their variables are zero in the torsion-free quotient
         rep = list(range(mu))
         sgn = [1] * mu
-
+        zero = set()
         for i in range(mu):
             j = self._symbol_S(i)
             if j == i:
-                zero[i] = True
+                zero.add(i)
             elif j > i:
                 rep[j] = i
                 sgn[j] = -1
-
-        # three-term relations over the S-representatives; U-orbit fixed
-        # points force their variable to zero, so mark those first
-        orbits = []
-        seen = set()
+        orbits = {}
         for i in range(mu):
             orbit = (i, self._symbol_U(i), self._symbol_U(self._symbol_U(i)))
-            key = min(orbit)
-            if key in seen:
-                continue
-            seen.add(key)
             if orbit[1] == i:
-                zero[rep[i]] = True
+                zero.add(rep[i])
             else:
-                orbits.append(orbit)
-        rels: list[dict[int, int]] = []
-        for orbit in orbits:
+                orbits[min(orbit)] = orbit
+
+        # x + xU + xU^2 = 0 on the variables, by unit-pivot elimination: each
+        # pass solves every relation with a +-1 coefficient for such a
+        # variable in the fewest relations (a relation +-v solves to v = 0)
+        # and substitutes it into the others
+        active: dict[int, dict[int, int]] = {}
+        var_rels: dict[int, set[int]] = {}
+        for ridx, orbit in enumerate(orbits.values()):
             r: dict[int, int] = {}
             for t in orbit:
-                v, s = rep[t], sgn[t]
-                if zero[v]:
-                    continue
-                r[v] = r.get(v, 0) + s
-            rels.append({v: c for v, c in r.items() if c})
-
+                if rep[t] not in zero:
+                    r[rep[t]] = r.get(rep[t], 0) + sgn[t]
+            active[ridx] = {v: c for v, c in r.items() if c}
+            for v in active[ridx]:
+                var_rels.setdefault(v, set()).add(ridx)
         exprs: dict[int, dict[int, int]] = {}
-        live = {rep[i] for i in range(mu) if not zero[rep[i]] and rep[i] == i}
-
-        def mark_zero(v: int):
-            zero[v] = True
-            live.discard(v)
-
-        # iterative simplification with unit-pivot elimination
-        var_rels: dict[int, set[int]] = {v: set() for v in live}
-        active: dict[int, dict[int, int]] = {}
-        for ridx, r in enumerate(rels):
-            active[ridx] = r
-            for v in r:
-                var_rels[v].add(ridx)
-
-        def substitute_zero(v: int):
-            for ridx in list(var_rels.get(v, ())):
-                r = active.get(ridx)
-                if r is None:
-                    continue
-                r.pop(v, None)
-                _post_update(ridx, r)
-            var_rels.pop(v, None)
-
-        def _post_update(ridx: int, r: dict[int, int]):
-            if not r:
-                active.pop(ridx, None)
-            elif len(r) == 1:
-                ((v, c),) = r.items()
-                active.pop(ridx, None)
-                var_rels[v].discard(ridx)
-                if c:
-                    mark_zero(v)
-                    substitute_zero(v)
-
         changed = True
         while changed:
             changed = False
             for ridx in list(active):
-                r = active.get(ridx)
-                if r is None:
-                    continue
+                r = active[ridx]
                 unit_vars = [v for v, c in r.items() if abs(c) == 1]
                 if not unit_vars:
                     continue
+                del active[ridx]
+                for w in r:
+                    var_rels[w].discard(ridx)
                 v = min(unit_vars, key=lambda w: len(var_rels[w]))
-                s = r[v]
-                expr = {w: -s * c for w, c in r.items() if w != v}
-                exprs[v] = expr
-                live.discard(v)
-                active.pop(ridx)
-                var_rels[v].discard(ridx)
-                for other in list(var_rels[v]):
-                    ro = active.get(other)
-                    if ro is None:
-                        continue
-                    coef = ro.pop(v, 0)
-                    if coef:
-                        for w, c in expr.items():
-                            nc = ro.get(w, 0) + coef * c
-                            if nc:
-                                ro[w] = nc
-                                var_rels[w].add(other)
-                            else:
-                                ro.pop(w, None)
-                                var_rels[w].discard(other)
-                    _post_update(other, ro)
-                var_rels.pop(v, None)
+                s = r.pop(v)
+                exprs[v] = expr = {w: -s * c for w, c in r.items()}
+                for other in var_rels.pop(v):
+                    ro = active[other]
+                    coef = ro.pop(v)
+                    for w, c in expr.items():
+                        nc = ro.get(w, 0) + coef * c
+                        if nc:
+                            ro[w] = nc
+                            var_rels[w].add(other)
+                        else:
+                            del ro[w]
+                            var_rels[w].discard(other)
                 changed = True
 
-        residual = [dict(r) for r in active.values()]
+        # what is left has no unit coefficient: its kernel, with the variables
+        # in no relation, parametrizes the solutions
+        residual = [r for r in active.values() if r]
         res_vars = sorted({v for r in residual for v in r})
-        free_vars = sorted(v for v in live if v not in res_vars)
-
-        params: list[dict[int, int]] = [{v: 1} for v in free_vars]
+        taken = zero | exprs.keys() | set(res_vars)
+        params = [{i: 1} for i in range(mu) if rep[i] == i and i not in taken]
         if residual:
             mat = IntMatrix.from_rows(
                 [[r.get(v, 0) for v in res_vars] for r in residual]
@@ -405,13 +326,7 @@ class ModSymSpace:
             val = dict(assign)
             for v in reversed(exprs):
                 val[v] = sum(c * val.get(w, 0) for w, c in exprs[v].items())
-            full = [0] * mu
-            for i in range(mu):
-                v = rep[i]
-                if zero[v]:
-                    continue
-                full[i] = sgn[i] * val.get(v, 0)
-            rows.append(full)
+            rows.append([sgn[i] * val.get(rep[i], 0) for i in range(mu)])
 
         coords = hnf(IntMatrix.from_rows(rows, mu)) if rows else IntMatrix.from_rows([])
         expected = 2 * self.genus + nu_inf(self.level) - 1
@@ -700,22 +615,12 @@ class ModSymSpace:
         N, M = self.level, target.level
         if M < 1 or N % M or (N // M) % d:
             raise ValueError(f"need M | N and d | N/M; got N={N}, M={M}, d={d}")
-        key = (M, d)
-        if key in self._lower_cache:
-            return self._lower_cache[key]
         if target.cuspidal_basis.rows == 0 or self.cuspidal_basis.rows == 0:
-            out = IntMatrix.from_rows(
+            return IntMatrix.from_rows(
                 [[0] * self.cuspidal_basis.rows
-                 for _ in range(target.cuspidal_basis.rows)]
-            )
-            self._lower_cache[key] = out
-            return out
-
-        raw = self._path_map([(d, 0, 0, 1)], target)
-        out = restrict(self.cuspidal_basis, raw, target._cusp_solver,
-                       "degeneracy image is not cuspidal-integral")
-        self._lower_cache[key] = out
-        return out
+                 for _ in range(target.cuspidal_basis.rows)])
+        return restrict(self.cuspidal_basis, self._path_map([(d, 0, 0, 1)], target),
+                        target._cusp_solver, "degeneracy image is not cuspidal-integral")
 
     def degeneracy_raise(self, source: "ModSymSpace") -> IntMatrix:
         """Transfer of the forgetful covering X0(N) -> X0(M): the matrix of

@@ -250,6 +250,35 @@ def test_malformed_ainvs_usage_error(capsys, argv):
     assert code == 2 and "usage error" in err and "Traceback" not in err
 
 
+def test_certify_rescaled_ainvs_matches_label(capsys):
+    """11.a2 rescaled by u = 1/2 (a_i -> u^i a_i) has the same minimal model,
+    so certify prints the label's JSON."""
+    code, out, _ = run(capsys, "--format", "json", "certify",
+                       "--ainvs", "0,-1/4,1/8,-5/8,-5/16")
+    assert code == 0
+    assert out == run(capsys, "--format", "json", "certify", "--label", "11.a2")[1]
+
+
+def test_large_ainvs_denominator_refused_before_trial_division(capsys, monkeypatch):
+    """A prime denominator 2^61 - 1 is refused as a usage error, and trial
+    division never sees a number past 2^(2 SIEVE_BITS)."""
+    from manincert import elliptic
+
+    bound = 2**(2 * elliptic.SIEVE_BITS)
+    factorize = elliptic.factorize
+    seen = []
+
+    def recording_factorize(n):
+        seen.append(n)
+        # a number past the bound is recorded, not trial-divided
+        return factorize(n) if abs(n) <= bound else {}
+
+    monkeypatch.setattr(elliptic, "factorize", recording_factorize)
+    code, _, err = run(capsys, "certify", "--ainvs", "0,0,0,1/2305843009213693951,0")
+    assert code == 2 and "usage error" in err and "Traceback" not in err
+    assert all(abs(n) <= bound for n in seen), seen
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -51,6 +51,18 @@ def test_minimal_model_rational_input():
     assert m.ainvs == (0, 0, 0, -1, 0)
 
 
+@pytest.mark.parametrize("label", ("11.a2", "27.a1", "37.a1", "198.d4", "530.a1"))
+def test_minimal_model_undoes_rational_scaling(label):
+    """a_i -> u^i a_i for rational u, integral or not, gives back the
+    snapshot model: the scaling that clears the c-invariant denominators
+    takes the ceiling of v_p / 4 and v_p / 6."""
+    ainvs = fixture_entries()[label].ainvs
+    for u in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(2, 5),
+              Fraction(3, 7), Fraction(5)):
+        scaled = [a * u**i for a, i in zip(ainvs, (1, 2, 3, 4, 6))]
+        assert minimal_model_from_ainvs(scaled).ainvs == ainvs, (label, u)
+
+
 def test_singular_rejected():
     with pytest.raises(SingularCurveError):
         minimal_model(WeierstrassModel.from_ainvs((0, 0, 0, 0, 0)))
