@@ -28,22 +28,47 @@ def test_p1_sizes():
         assert len(P1List(n)) == index_mu(n)
 
 
-def test_p1_index_names_least_pair_of_unit_orbit():
-    """For every residue pair (c, d), index names the least pair of its unit
-    orbit {(ct, dt) : t a unit mod N}, found here by brute force, or gives
-    None when gcd(c, d, N) > 1; the pairs are listed in increasing order."""
-    for n in (*range(1, 71), 198):
+def _normalize_by_orbits(n):
+    """Reference normalize, by brute force over the unit orbits: maps each
+    residue pair (c, d) with gcd(c, d, n) = 1 to the least pair of its orbit
+    {(ct, dt) : t a unit mod n}."""
+    units = [t for t in range(n) if gcd(t, n) == 1]
+    least = {}
+    for c in range(n):
+        for d in range(n):
+            if (c, d) not in least and gcd(gcd(c, d), n) == 1:
+                orbit = {(c * t % n, d * t % n) for t in units}
+                m = min(orbit)
+                for pt in orbit:
+                    least[pt] = m
+    return least
+
+
+def test_p1_normalize_idempotent():
+    """Normalizing a representative gives it back, and the representatives
+    are exactly P1List's pairs."""
+    for n in (12, 25, 33):
         p1 = P1List(n)
-        assert p1.pairs == sorted(p1.pairs)
-        units = [t for t in range(n) if gcd(t, n) == 1]
+        least = _normalize_by_orbits(n)
+        for pt in least.values():
+            assert least[pt] == pt
+            assert p1.pairs[p1.index(*pt)] == pt
+        assert p1.pairs == sorted(set(least.values()))
+
+
+def test_p1_table_agrees_with_normalize():
+    """For every residue pair, index names the least pair of its unit orbit,
+    or gives None when gcd(c, d, N) > 1; the pairs are listed in increasing
+    order."""
+    for n in (*range(1, 71), 198, 530):
+        p1 = P1List(n)
+        least = _normalize_by_orbits(n)
+        assert p1.pairs == sorted(set(least.values()))
+        lookup = {pt: i for i, pt in enumerate(p1.pairs)}
         for c in range(n):
             for d in range(n):
-                i = p1.index(c, d)
-                if gcd(gcd(c, d), n) > 1:
-                    assert i is None, (n, c, d)
-                else:
-                    least = min((c * t % n, d * t % n) for t in units)
-                    assert p1.pairs[i] == least, (n, c, d)
+                pt = least.get((c, d))
+                assert p1.index(c, d) == (None if pt is None else lookup[pt]), (n, c, d)
 
 
 def test_relation_check_rejects_map_off_the_quotient():
