@@ -22,7 +22,6 @@ from .intlattice import (
     RowSolver,
     hnf,
     kernel,
-    lattice_from_rows,
     require,
     stack,
 )
@@ -78,6 +77,19 @@ def genus_x0(n: int) -> int:
     return g12 // 12
 
 
+def new_rank(n: int) -> int:
+    """Rank of the new part of the cuspidal lattice at level n:
+    2 sum_{M | n} beta(n/M) genus(M), for the multiplicative beta with
+    beta(p) = -2, beta(p^2) = 1 and beta(p^k) = 0 for k >= 3."""
+    total = 0
+    for m in divisors(n):
+        beta = 1
+        for e in factorize(n // m).values():
+            beta *= (-2, 1, 0)[min(e, 3) - 1]
+        total += beta * genus_x0(m)
+    return 2 * total
+
+
 # ---------------------------------------------------------------------------
 # P^1(Z/NZ)
 
@@ -130,6 +142,17 @@ def lift_to_sl2(c: int, d: int, N: int) -> tuple[int, int, int, int]:
     x, y, g = xgcd(dd, cc)
     assert g == 1
     return (x, -y, cc, dd)
+
+
+def w_matrix(N: int, q: int) -> tuple[int, int, int, int]:
+    """The matrix [[q x, 1], [-N y, q]] of determinant q that defines w_q,
+    for q || N (q > 1), with q x + (N/q) y = 1."""
+    if q < 1 or N % q or gcd(q, N // q) != 1 or q == 1:
+        raise ValueError(f"{q} does not exactly divide {N} (or is 1)")
+    x, y, g = xgcd(q, N // q)
+    assert g == 1
+    assert q * x * q - 1 * (-N * y) == q * (q * x + (N // q) * y) == q
+    return (q * x, 1, -N * y, q)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +247,6 @@ class ModSymSpace:
         self._build_boundary()
         self._hecke_coord_cache: dict[int, IntMatrix] = {}
         self._hecke_cusp_cache: dict[int, IntMatrix] = {}
-        self._al_cache: dict[int, IntMatrix] = {}
         self._newform_data: dict = {}  # (build, newform index) -> its result
         self.gamma_loops: list[tuple[int, int, int, int]] = []  # see loop_solver
         self._loop_classes: list[list[int]] = []
@@ -574,36 +596,35 @@ class ModSymSpace:
             self._loop_solvers[width] = RowSolver(IntMatrix.from_rows(self._loop_classes[:width]))
         return self._loop_solvers[width]
 
-    def _path_map(self, mats, target: "ModSymSpace") -> IntMatrix:
-        """Coordinate matrix, into `target`, of the path map
+    def _path_images(self, mats, target: "ModSymSpace"):
+        """The map taking a formal sum {symbol: coef} of this space to a formal
+        sum of `target`'s symbols: its image under the path map
         {alpha, beta} -> sum over m in mats of {m alpha, m beta}."""
-        def image_class(i: int) -> list[int]:
-            a, b, c, d = self.symbol_lift(i)
-            combo: dict[int, int] = {}
-            for m in mats:
-                for sgn, cusp in ((1, mobius(m, (a, c))), (-1, mobius(m, (b, d)))):
-                    for idx in target._zero_to(cusp):
-                        combo[idx] = combo.get(idx, 0) + sgn
-            return target._class_of(combo)
+        def image(combo: dict[int, int]) -> dict[int, int]:
+            out: dict[int, int] = {}
+            for i, coef in combo.items():
+                a, b, c, d = self.symbol_lift(i)
+                for m in mats:
+                    for sgn, cusp in ((coef, mobius(m, (a, c))), (-coef, mobius(m, (b, d)))):
+                        for idx in target._zero_to(cusp):
+                            out[idx] = out.get(idx, 0) + sgn
+            return out
 
-        return self._solve_and_check(image_class, target.rank)
+        return image
+
+    def _path_map(self, mats, target: "ModSymSpace") -> IntMatrix:
+        """Coordinate matrix, into `target`, of the path map of _path_images,
+        checked on every Manin symbol."""
+        images = self._path_images(mats, target)
+        return self._solve_and_check(lambda i: target._class_of(images({i: 1})), target.rank)
 
     def atkin_lehner(self, q_power: int) -> IntMatrix:
-        """Matrix of w_q on the cuspidal lattice, for q_power || level."""
-        N = self.level
-        q = q_power
-        if q < 1 or N % q or gcd(q, N // q) != 1 or q == 1:
-            raise ValueError(f"{q} does not exactly divide {N} (or is 1)")
-        if q not in self._al_cache:
-            x, y, g = xgcd(q, N // q)
-            assert g == 1
-            w = (q * x, 1, -N * y, q)
-            assert q * x * q - 1 * (-N * y) == q * (q * x + (N // q) * y) == q
-            mat = self._restrict_to_cuspidal(self._path_map([w], self))
-            require(mat * mat == IntMatrix.identity(mat.rows),
-                    f"Atkin-Lehner w_{q} is not an involution at level {N}")
-            self._al_cache[q] = mat
-        return self._al_cache[q]
+        """Matrix of w_q on the cuspidal lattice, for q_power || level, checked
+        on every Manin symbol and as an involution of the whole lattice."""
+        mat = self._restrict_to_cuspidal(self._path_map([w_matrix(self.level, q_power)], self))
+        require(mat * mat == IntMatrix.identity(mat.rows),
+                f"Atkin-Lehner w_{q_power} is not an involution at level {self.level}")
+        return mat
 
     # -- degeneracy maps and the new subspace --------------------------------
 
@@ -648,22 +669,30 @@ class ModSymSpace:
                         self._cusp_solver, "transfer image is not cuspidal-integral")
 
     def new_subspace(self) -> Lattice:
-        """Saturated kernel of all level-lowering maps to N/p, both optands."""
+        """Saturated kernel of all level-lowering maps to N/p, both optands.
+
+        Its rank must be 2 sum_{M | N} beta(N/M) genus(M), the dimension count
+        of the new part, so a lowering map that loses rank raises
+        InvariantError."""
         n2g = self.cuspidal_basis.rows
-        if n2g == 0:
-            return lattice_from_rows(0, [])
         blocks = []
-        for p in factorize(self.level):
-            target = build_space(self.level // p)
-            for d in (1, p):
-                blocks.append(self.degeneracy_lower(target, d))
+        if n2g:
+            for p in factorize(self.level):
+                target = build_space(self.level // p)
+                for d in (1, p):
+                    blocks.append(self.degeneracy_lower(target, d))
         blocks = [b for b in blocks if b.rows]
-        if not blocks:
-            return Lattice(n2g, IntMatrix.identity(n2g))
-        big = blocks[0]
-        for b in blocks[1:]:
-            big = stack(big, b)
-        return Lattice(n2g, kernel(big))
+        if blocks:
+            big = blocks[0]
+            for b in blocks[1:]:
+                big = stack(big, b)
+            new = Lattice(n2g, kernel(big))
+        else:
+            new = Lattice(n2g, IntMatrix.identity(n2g))
+        expected = new_rank(self.level)
+        require(new.rank == expected, f"new subspace of rank {new.rank} at level "
+                                      f"{self.level}, expected {expected}")
+        return new
 
     # -- rational eigenspaces -------------------------------------------------
 
@@ -690,7 +719,10 @@ class ModSymSpace:
         the Sturm bound, until each piece has rank 2.  Such a piece is
         Hecke-stable, so by multiplicity one it is the isotypic part of a
         single rational newform, whose a_p are then read off one vector
-        (see `_eigenvector_ap`)."""
+        (see `_eigenvector_ap`).  Its Atkin-Lehner sign at each q || N is read
+        off the eigenspace too: w_q must map the formal-sum lift of each basis
+        row to eps times its class, for one eps = +-1; the full w_q matrix
+        (atkin_lehner) is not built."""
         from .heckeforms import RationalNewform, sturm_bound
 
         bound = sturm_bound(self.level)
@@ -717,21 +749,21 @@ class ModSymSpace:
                     split(sub, {**ap, p: lam}, pidx + 1)
 
         split(new.basis, {}, 0)
+        w_images = {p**e: self._path_images([w_matrix(self.level, p**e)], self)
+                    for p, e in factorize(self.level).items()}
         out = []
         for split_ap, basis in found:
+            lifts = [self._lift_cuspidal(row) for row in basis.entries]
             sign_w = {}
-            solver = RowSolver(basis)
-            for p, e in factorize(self.level).items():
-                q = p**e
-                r = restrict(basis, self.atkin_lehner(q), solver,
-                             f"w_{q} does not preserve an eigenspace")
-                eps = r.entries[0][0]
-                require(r == IntMatrix.identity(2).scale(eps) and eps in (1, -1),
-                        "Atkin-Lehner does not act as +-1 on an eigenspace")
-                sign_w[q] = eps
+            for q, images in w_images.items():
+                signs = {_scalar_of(self._class_of(images(combo)), x) for x, combo in lifts}
+                require(len(signs) == 1 and signs <= {1, -1},
+                        f"Atkin-Lehner w_{q} does not act as +-1 on an eigenspace "
+                        f"at level {self.level}")
+                sign_w[q] = signs.pop()
             out.append(RationalNewform(
                 level=self.level,
-                ap=self._eigenvector_ap(basis, split_ap, sign_w, max(bound, 7)),
+                ap=self._eigenvector_ap(lifts[0], split_ap, sign_w, max(bound, 7)),
                 eigenspace=Lattice(self.cuspidal_basis.rows, basis),
                 sign_w=sign_w,
             ))
@@ -756,26 +788,29 @@ class ModSymSpace:
             self._newform_data[key] = build(self, self._newforms[key[1]])
         return self._newform_data[key]
 
-    def _eigenvector_ap(self, basis: IntMatrix, split_ap: dict[int, int],
+    def _lift_cuspidal(self, row) -> tuple[list[int], dict[int, int]]:
+        """The class x of a cuspidal-coordinate row and its formal_sum lift."""
+        x = self.cuspidal_basis.transpose().matvec(row)
+        return x, self.formal_sum(x)
+
+    def _eigenvector_ap(self, lift, split_ap: dict[int, int],
                         sign_w: dict[int, int], limit: int) -> dict[int, int]:
         """The a_p, p <= limit in increasing order, of the rational newform
-        whose rank-2 eigenspace has row basis `basis` (cuspidal coordinates).
+        whose rank-2 eigenspace has basis row 0, with class x and formal sum
+        combo: lift = (x, combo), from _lift_cuspidal.
 
-        x is the class of basis row 0, lifted to pivot symbols once; each a_p
-        comes from the T_p image of that one formal sum, under the exact
-        check T_p x = a_p x.  The same check runs at every p | level (U_p,
-        through Merel's set), where a_p must be -w_p for p || level and 0 for
-        p^2 | level; and each a_p must be the eigenvalue the split chose."""
+        Each a_p comes from the T_p image of that one formal sum, under the
+        exact check T_p x = a_p x.  The same check runs at every p | level
+        (U_p, through Merel's set), where a_p must be -w_p for p || level and
+        0 for p^2 | level; and each a_p must be the eigenvalue the split
+        chose."""
         N = self.level
-        x = self.cuspidal_basis.transpose().matvec(basis.entries[0])
-        combo = self.formal_sum(x)
-        j = next(j for j, v in enumerate(x) if v)
+        x, combo = lift
         bad = factorize(N)
         ap = {}
         for p in sorted(set(primes_up_to(limit)) | set(bad)):
-            img = self._class_of(self._hecke_images(p)(combo))
-            a = img[j] // x[j]
-            require(img == [a * v for v in x],
+            a = _scalar_of(self._class_of(self._hecke_images(p)(combo)), x)
+            require(a is not None,
                     f"T_{p} does not act as a scalar on an eigenvector at level {N}")
             require(split_ap.get(p, a) == a,
                     f"a_{p} = {a} on an eigenvector, but the split chose {split_ap.get(p)}")
@@ -804,6 +839,13 @@ def restrict(src: IntMatrix, op: IntMatrix, dst_solver: RowSolver, what: str) ->
         require(sol is not None, what)
         rows.append(sol)
     return IntMatrix.from_rows(rows).transpose()
+
+
+def _scalar_of(img: list[int], x: list[int]):
+    """The integer a with img = a x, for a nonzero x; None if there is none."""
+    j = next(j for j, v in enumerate(x) if v)
+    a = img[j] // x[j]
+    return a if img == [a * v for v in x] else None
 
 
 def _eigenvalue_candidates(p: int, N: int):

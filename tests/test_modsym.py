@@ -2,9 +2,11 @@ from math import gcd
 
 import pytest
 
+from manincert.arith import factorize
 from manincert.intlattice import (
     IntMatrix,
     InvariantError,
+    RowSolver,
     hnf,
     lattice_from_rows,
     solve_in_rowspace,
@@ -18,8 +20,10 @@ from manincert.modsym import (
     heilbronn_cremona,
     index_mu,
     merel_matrices,
+    new_rank,
     nu_inf,
     P1List,
+    restrict,
 )
 
 
@@ -141,9 +145,18 @@ def test_formal_sum_lifts_cuspidal_basis():
 
 
 def test_atkin_lehner_not_plus_minus_one_is_invariant_error(monkeypatch):
+    """The split reads w_q off each eigenspace through _path_images; with every
+    image coefficient doubled, w_11 acts on the eigenspace of 11 as 2 * (+-1),
+    which must be an error (the doubled lowering maps keep their kernel)."""
     s = ModSymSpace(11)
-    monkeypatch.setattr(s, "atkin_lehner", lambda q: IntMatrix.identity(2).scale(2))
-    with pytest.raises(InvariantError):
+    right = s._path_images
+
+    def doubled(mats, target):
+        image = right(mats, target)
+        return lambda combo: {i: 2 * c for i, c in image(combo).items()}
+
+    monkeypatch.setattr(s, "_path_images", doubled)
+    with pytest.raises(InvariantError, match="w_11 does not act as"):
         s.rational_eigenspaces()
 
 
@@ -259,6 +272,26 @@ def test_atkin_lehner_rejects_non_exact_divisor():
         s.atkin_lehner(2)  # 2 || 12 fails: 4 | 12
 
 
+def test_sign_w_matches_full_atkin_lehner_matrix():
+    """Each newform's sign_w, read off its own eigenspace, is the scalar by
+    which the full w_q matrix (checked on every Manin symbol and as an
+    involution) acts on that eigenspace: at every level <= 100 with a
+    rational newform, and at 198."""
+    for n in (*range(1, 101), 198):
+        s = build_space(n)
+        forms = s.rational_eigenspaces()
+        for q in (p**e for p, e in factorize(n).items()):
+            if not forms:
+                break
+            w = s.atkin_lehner(q)
+            for f in forms:
+                basis = f.eigenspace.basis
+                r = restrict(basis, w, RowSolver(basis), f"w_{q} leaves an eigenspace")
+                assert r == IntMatrix.identity(2).scale(f.sign_w[q]), (n, q)
+        for f in forms:
+            assert set(f.sign_w) == {p**e for p, e in factorize(n).items()}, n
+
+
 def test_fricke_is_product_of_atkin_lehner():
     s = build_space(14)
     w2, w7, w14 = s.atkin_lehner(2), s.atkin_lehner(7), s.atkin_lehner(14)
@@ -351,6 +384,24 @@ def test_new_subspace_examples():
     assert build_space(37).new_subspace().rank == 4
 
 
+def test_new_subspace_rank_is_the_dimension_count(monkeypatch):
+    """new_subspace checks its rank against 2 sum_{M | N} beta(N/M) genus(M);
+    without the d = p lowering maps the kernel is too large, and the check
+    raises."""
+    for n, rank in ((1, 0), (11, 2), (22, 0), (32, 2), (37, 4), (54, 4),
+                    (64, 2), (81, 4), (128, 8), (198, 10)):
+        assert new_rank(n) == build_space(n).new_subspace().rank == rank, n
+    right = ModSymSpace.degeneracy_lower
+
+    def lower_without_d_p(self, target, d):
+        return IntMatrix.from_rows([]) if d > 1 else right(self, target, d)
+
+    monkeypatch.setattr(ModSymSpace, "degeneracy_lower", lower_without_d_p)
+    for n in (22, 54, 198):
+        with pytest.raises(InvariantError, match="new subspace of rank"):
+            build_space(n).new_subspace()
+
+
 def test_rational_eigenspaces_examples():
     s11 = build_space(11)
     forms = s11.rational_eigenspaces()
@@ -407,11 +458,12 @@ def test_eigenvector_check_rejects_wrong_split_eigenvalue():
     s = build_space(54)
     f = s.rational_eigenspaces()[0]
     basis = f.eigenspace.basis
-    assert s._eigenvector_ap(basis, {2: f.ap[2], 5: f.ap[5]}, f.sign_w, 7) == \
+    lift = s._lift_cuspidal(basis.entries[0])
+    assert s._eigenvector_ap(lift, {2: f.ap[2], 5: f.ap[5]}, f.sign_w, 7) == \
         {p: f.ap[p] for p in (2, 3, 5, 7)}
     for p, wrong in ((5, f.ap[5] + 1), (2, -f.ap[2])):
         with pytest.raises(InvariantError, match="the split chose"):
-            s._eigenvector_ap(basis, {p: wrong}, f.sign_w, 7)
+            s._eigenvector_ap(lift, {p: wrong}, f.sign_w, 7)
 
 
 def test_eigenvector_check_ties_bad_primes_to_atkin_lehner():
@@ -420,13 +472,15 @@ def test_eigenvector_check_ties_bad_primes_to_atkin_lehner():
     so it is checked but not stored."""
     s = build_space(54)
     f = s.rational_eigenspaces()[0]
+    lift = s._lift_cuspidal(f.eigenspace.basis.entries[0])
     with pytest.raises(InvariantError, match="disagrees with w_2"):
-        s._eigenvector_ap(f.eigenspace.basis, {}, {**f.sign_w, 2: -f.sign_w[2]}, 7)
+        s._eigenvector_ap(lift, {}, {**f.sign_w, 2: -f.sign_w[2]}, 7)
     s = build_space(130)
     f = s.rational_eigenspaces()[0]
+    lift = s._lift_cuspidal(f.eigenspace.basis.entries[0])
     with pytest.raises(InvariantError, match="disagrees with w_13"):
-        s._eigenvector_ap(f.eigenspace.basis, {}, {**f.sign_w, 13: -f.sign_w[13]}, 7)
-    assert list(s._eigenvector_ap(f.eigenspace.basis, {}, f.sign_w, 7)) == [2, 3, 5, 7]
+        s._eigenvector_ap(lift, {}, {**f.sign_w, 13: -f.sign_w[13]}, 7)
+    assert list(s._eigenvector_ap(lift, {}, f.sign_w, 7)) == [2, 3, 5, 7]
 
 
 def test_eigenspaces_are_saturated_rank_two():
