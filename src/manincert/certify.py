@@ -309,13 +309,11 @@ class CensusReport:
 
 
 def census(max_conductor: int, records: list[CurveRecord],
-           coverage_check=None, provenance: str = "") -> CensusReport:
+           provenance: str = "") -> CensusReport:
     """Staged selection reproducing the catalog experiment: optimal curves,
     semistable at 2, with all of MK2-MK4 failing; then count what MM1 and
     MM15 settle and report the residue with its rational 2-torsion.  The
     MK3, MK4, MM1 and MM15 stages read the verdicts of evaluate_criteria."""
-    if coverage_check is not None:
-        coverage_check(max_conductor)
     selected, mm1, rest1, mm15, rest2 = [], [], [], [], []
     for rec in sorted(records, key=lambda r: _label_key(r.label)):
         if not rec.is_optimal or rec.conductor > max_conductor \

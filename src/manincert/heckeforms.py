@@ -46,6 +46,12 @@ def sturm_bound(N: int) -> int:
     return -(-index_mu(N) // 6)
 
 
+def bad_prime_eigenvalue(N: int, p: int, sign_w: dict[int, int]) -> int:
+    """a_p at a prime p | N of a weight-2 newform of level N with Atkin-Lehner
+    signs sign_w: -w_p for p || N, and 0 for p^2 | N."""
+    return -sign_w[p] if (N // p) % p else 0
+
+
 @dataclass
 class RationalNewform:
     """A rational (integer-eigenvalue) newform given by its modular symbol data."""
@@ -74,8 +80,7 @@ class RationalNewform:
     def prime_eigenvalue(self, p: int) -> int:
         if p not in self.ap:
             if self.level % p == 0:
-                # a_p = -w_p for p || N, a_p = 0 for p^2 | N (weight 2)
-                self.ap[p] = -self.sign_w[p] if (self.level // p) % p else 0
+                self.ap[p] = bad_prime_eigenvalue(self.level, p, self.sign_w)
             else:
                 a = (self._ap_provider or build_space(self.level).newform_data(
                     self, eigen_ap_provider))(p)

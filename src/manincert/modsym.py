@@ -718,14 +718,21 @@ class ModSymSpace:
         The new cuspidal lattice is split by kernels of T_p - a_p, p up to
         the Sturm bound, until each piece has rank 2.  Such a piece is
         Hecke-stable, so by multiplicity one it is the isotypic part of a
-        single rational newform, whose a_p are then read off one vector
-        (see `_eigenvector_ap`).  Its Atkin-Lehner sign at each q || N is read
-        off the eigenspace too: w_q must map the formal-sum lift of each basis
-        row to eps times its class, for one eps = +-1; the full w_q matrix
-        (atkin_lehner) is not built."""
-        from .heckeforms import RationalNewform, sturm_bound
+        single rational newform.  One pass over the operators then reads
+        every newform off the formal-sum lifts of its basis rows, each
+        operator's image map built once for all newforms:
+        - at each q = p^e || N, w_q must map both lifts to eps times their
+          classes, for one eps = +-1 (the full w_q matrix, atkin_lehner, is
+          not built);
+        - at each p <= max(sturm, 7) and each p | N, T_p (U_p, through
+          Merel's set, at p | N) must map the row-0 lift x to a_p x, a_p
+          must be the eigenvalue the split chose, and at p | N it must obey
+          bad_prime_eigenvalue.  The a_p with p <= max(sturm, 7) are kept,
+          in increasing order."""
+        from .heckeforms import RationalNewform, bad_prime_eigenvalue, sturm_bound
 
-        bound = sturm_bound(self.level)
+        N = self.level
+        bound = sturm_bound(N)
         plist = primes_up_to(bound) or [2]
         new = self.new_subspace()
         found = []
@@ -735,13 +742,13 @@ class ModSymSpace:
                 return
             if basis.rows == 2 or pidx == len(plist):
                 require(basis.rows == 2,
-                        f"rational system of rank {basis.rows} at level {self.level}")
+                        f"rational system of rank {basis.rows} at level {N}")
                 found.append((ap, basis))
                 return
             p = plist[pidx]
             restricted = restrict(basis, self.hecke_on_cuspidal(p), RowSolver(basis),
                                   f"T_{p} does not preserve the lattice")
-            for lam in _eigenvalue_candidates(p, self.level):
+            for lam in _eigenvalue_candidates(p, N):
                 shifted = restricted - IntMatrix.identity(basis.rows).scale(lam)
                 ker = kernel(shifted)
                 if ker.rows:
@@ -749,24 +756,36 @@ class ModSymSpace:
                     split(sub, {**ap, p: lam}, pidx + 1)
 
         split(new.basis, {}, 0)
-        w_images = {p**e: self._path_images([w_matrix(self.level, p**e)], self)
-                    for p, e in factorize(self.level).items()}
-        out = []
-        for split_ap, basis in found:
-            lifts = [self._lift_cuspidal(row) for row in basis.entries]
-            sign_w = {}
-            for q, images in w_images.items():
-                signs = {_scalar_of(self._class_of(images(combo)), x) for x, combo in lifts}
+        lifts = [[self._lift_cuspidal(row) for row in basis.entries] for _, basis in found]
+        bad = factorize(N)
+        sign_ws = [{} for _ in found]
+        for p, e in bad.items():
+            images = self._path_images([w_matrix(N, p**e)], self)
+            for rows, sign_w in zip(lifts, sign_ws):
+                signs = {_scalar_of(self._class_of(images(combo)), x) for x, combo in rows}
                 require(len(signs) == 1 and signs <= {1, -1},
-                        f"Atkin-Lehner w_{q} does not act as +-1 on an eigenspace "
-                        f"at level {self.level}")
-                sign_w[q] = signs.pop()
-            out.append(RationalNewform(
-                level=self.level,
-                ap=self._eigenvector_ap(lifts[0], split_ap, sign_w, max(bound, 7)),
-                eigenspace=Lattice(self.cuspidal_basis.rows, basis),
-                sign_w=sign_w,
-            ))
+                        f"Atkin-Lehner w_{p**e} does not act as +-1 on an eigenspace "
+                        f"at level {N}")
+                sign_w[p**e] = signs.pop()
+        limit = max(bound, 7)
+        aps = [{} for _ in found]
+        for p in sorted(set(primes_up_to(limit)) | set(bad)):
+            images = self._hecke_images(p)
+            for (split_ap, _), ((x, combo), _), sign_w, ap in zip(found, lifts, sign_ws, aps):
+                a = _scalar_of(self._class_of(images(combo)), x)
+                require(a is not None,
+                        f"T_{p} does not act as a scalar on an eigenvector at level {N}")
+                require(split_ap.get(p, a) == a,
+                        f"a_{p} = {a} on an eigenvector, but the split chose {split_ap.get(p)}")
+                if p in bad:
+                    q = p**bad[p]
+                    require(a == bad_prime_eigenvalue(N, p, sign_w),
+                            f"a_{p} = {a} disagrees with w_{q} = {sign_w[q]} at level {N}")
+                if p <= limit:
+                    ap[p] = a
+        out = [RationalNewform(level=N, ap=ap, sign_w=sign_w,
+                               eigenspace=Lattice(self.cuspidal_basis.rows, basis))
+               for (_, basis), ap, sign_w in zip(found, aps, sign_ws)]
         out.sort(key=lambda f: tuple(f.ap[p] for p in plist))
         return out
 
@@ -792,35 +811,6 @@ class ModSymSpace:
         """The class x of a cuspidal-coordinate row and its formal_sum lift."""
         x = self.cuspidal_basis.transpose().matvec(row)
         return x, self.formal_sum(x)
-
-    def _eigenvector_ap(self, lift, split_ap: dict[int, int],
-                        sign_w: dict[int, int], limit: int) -> dict[int, int]:
-        """The a_p, p <= limit in increasing order, of the rational newform
-        whose rank-2 eigenspace has basis row 0, with class x and formal sum
-        combo: lift = (x, combo), from _lift_cuspidal.
-
-        Each a_p comes from the T_p image of that one formal sum, under the
-        exact check T_p x = a_p x.  The same check runs at every p | level
-        (U_p, through Merel's set), where a_p must be -w_p for p || level and
-        0 for p^2 | level; and each a_p must be the eigenvalue the split
-        chose."""
-        N = self.level
-        x, combo = lift
-        bad = factorize(N)
-        ap = {}
-        for p in sorted(set(primes_up_to(limit)) | set(bad)):
-            a = _scalar_of(self._class_of(self._hecke_images(p)(combo)), x)
-            require(a is not None,
-                    f"T_{p} does not act as a scalar on an eigenvector at level {N}")
-            require(split_ap.get(p, a) == a,
-                    f"a_{p} = {a} on an eigenvector, but the split chose {split_ap.get(p)}")
-            if p in bad:
-                e = bad[p]
-                require(a == (-sign_w[p] if e == 1 else 0),
-                        f"a_{p} = {a} disagrees with w_{p**e} = {sign_w[p**e]} at level {N}")
-            if p <= limit:
-                ap[p] = a
-        return ap
 
 
 def restrict(src: IntMatrix, op: IntMatrix, dst_solver: RowSolver, what: str) -> IntMatrix:

@@ -20,7 +20,7 @@ from .modsym import ModSymSpace
 
 
 class ToleranceError(ValueError):
-    """Nonpositive or non-finite tolerance."""
+    """A tolerance that is not finite, or below double precision."""
 
 
 class ConvergenceError(RuntimeError):
@@ -36,9 +36,11 @@ AGM_CAP = 200
 
 
 def check_tolerance(tol: float):
-    """Refuse a tolerance that is not a positive finite number (NaN too)."""
-    if not 0 < tol < math.inf:
-        raise ToleranceError(f"tolerance must be positive and finite, not {tol}")
+    """Refuse a tolerance that is not finite (NaN too), or below the double
+    precision epsilon 2^-52, which no floating-point residual can meet."""
+    if not math.ulp(1.0) <= tol < math.inf:
+        raise ToleranceError(f"tolerance must be finite and at least {math.ulp(1.0):.3g}, "
+                             f"not {tol}")
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,9 @@ def optimal_records(max_conductor):
 def test_criterion_1_census_reproduction():
     with criterion(1, "census at conductor 200"):
         t0 = time.time()
+        coverage_check(200)
         records = optimal_records(200)
-        report = census(200, records, coverage_check=coverage_check,
+        report = census(200, records,
                         provenance=fixture_manifest()["optimality_convention"])
         assert len(report.selected) == 62, len(report.selected)
         assert "30.a8" in report.selected and "34.a4" in report.selected
@@ -159,8 +160,9 @@ def test_criterion_7_modular_symbols_properties():
             for p, e in factorize(n).items():
                 w = space.atkin_lehner(p ** e)
                 assert w * w == IntMatrix.identity(w.rows)
-        # Eichler-Shimura agreement at all good p <= Sturm bound, N <= 100
-        for rec in optimal_records(100):
+        # Eichler-Shimura agreement at all good p <= Sturm bound, N <= 200
+        # (every snapshot curve that certify computes live)
+        for rec in optimal_records(200):
             space = build_space(rec.conductor)
             f = match_curve_to_newform(rec.model, rec.conductor,
                                        space.rational_eigenspaces())

@@ -194,14 +194,6 @@ def test_census_coverage_error_without_degree():
         census(200, recs)
 
 
-def test_census_coverage_hook():
-    def boom(bound):
-        raise CoverageError("no data")
-
-    with pytest.raises(CoverageError):
-        census(10, [], coverage_check=boom)
-
-
 def test_census_agrees_with_certificates():
     """Over the whole snapshot, the census stages match the rule each
     curve's certificate cites at 2."""

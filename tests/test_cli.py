@@ -233,9 +233,10 @@ def test_numeric_11a2(capsys):
     assert payload["residual"] < 1e-6
 
 
-@pytest.mark.parametrize("tol", ("0", "nan", "inf", "-inf"))
+@pytest.mark.parametrize("tol", ("0", "nan", "inf", "-inf", "1e-17", "1e-23"))
 def test_numeric_tol_zero_usage_error(capsys, tol):
-    """A zero, NaN or infinite --tol is a usage error, not a traceback."""
+    """A zero, NaN or infinite --tol, or one below double precision that no
+    residual could meet, is a usage error, not a traceback."""
     code, _, err = run(capsys, "numeric", "--label", "11.a2", f"--tol={tol}")
     assert code == 2 and "usage error" in err and "Traceback" not in err
 

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from manincert.arith import factorize
+from manincert.arith import factorize, primes_up_to
 from manincert.intlattice import (
     IntMatrix,
     InvariantError,
@@ -24,6 +24,7 @@ from manincert.modsym import (
     nu_inf,
     P1List,
     restrict,
+    w_matrix,
 )
 
 
@@ -454,33 +455,78 @@ def test_wrong_hecke_image_on_eigenvector_is_invariant_error(monkeypatch):
         s.rational_eigenspaces()
 
 
-def test_eigenvector_check_rejects_wrong_split_eigenvalue():
-    s = build_space(54)
-    f = s.rational_eigenspaces()[0]
-    basis = f.eigenspace.basis
-    lift = s._lift_cuspidal(basis.entries[0])
-    assert s._eigenvector_ap(lift, {2: f.ap[2], 5: f.ap[5]}, f.sign_w, 7) == \
-        {p: f.ap[p] for p in (2, 3, 5, 7)}
-    for p, wrong in ((5, f.ap[5] + 1), (2, -f.ap[2])):
-        with pytest.raises(InvariantError, match="the split chose"):
-            s._eigenvector_ap(lift, {p: wrong}, f.sign_w, 7)
+def _patch_cuspidal_hecke(monkeypatch, s, p, change):
+    """Make the split read change(T_p) on s's cuspidal lattice; the pass,
+    which reads T_p through _hecke_images, still sees the true T_p."""
+    right = s.hecke_on_cuspidal
+    monkeypatch.setattr(s, "hecke_on_cuspidal",
+                        lambda m: change(right(m)) if m == p else right(m))
 
 
-def test_eigenvector_check_ties_bad_primes_to_atkin_lehner():
+def _patch_w_flipped(monkeypatch, s, q):
+    """Make the pass read -w_q on s's formal sums."""
+    right = s._path_images
+
+    def images(mats, target):
+        image = right(mats, target)
+        if mats != [w_matrix(s.level, q)]:
+            return image
+        return lambda combo: {i: -c for i, c in image(combo).items()}
+
+    monkeypatch.setattr(s, "_path_images", images)
+
+
+def test_eigenvector_check_rejects_wrong_split_eigenvalue(monkeypatch):
+    """The pass checks each a_p against the eigenvalue the split chose.  At 54
+    the split reads T_2 only, and a negated T_2 makes it choose -a_2; at 99
+    it reads T_5 on the rank-4 piece a_2 = -1, and T_5 + 1 makes it choose
+    a_5 + 1.  Unpatched, the pass stores p <= max(sturm, 7) in order."""
+    s = ModSymSpace(54)
+    assert [list(f.ap) for f in s.rational_eigenspaces()] == [[2, 3, 5, 7, 11, 13, 17]] * 2
+    for n, p, change in ((54, 2, lambda t: t.scale(-1)),
+                         (99, 5, lambda t: t + IntMatrix.identity(t.rows))):
+        s = ModSymSpace(n)
+        _patch_cuspidal_hecke(monkeypatch, s, p, change)
+        with pytest.raises(InvariantError, match=f"a_{p} = .* the split chose"):
+            s.rational_eigenspaces()
+
+
+def test_eigenvector_check_ties_bad_primes_to_atkin_lehner(monkeypatch):
     """a_p = -w_p for p || N, checked on the eigenvector; here at 54 = 2 * 27
-    a flipped w_2 is caught.  At 130 the bad prime 13 is past the limit 7,
-    so it is checked but not stored."""
-    s = build_space(54)
-    f = s.rational_eigenspaces()[0]
-    lift = s._lift_cuspidal(f.eigenspace.basis.entries[0])
+    a flipped w_2 is caught.  At 130, with the Sturm bound cut to 7, the bad
+    prime 13 is past the limit 7, so it is checked but not stored."""
+    import manincert.heckeforms
+
+    s = ModSymSpace(54)
+    _patch_w_flipped(monkeypatch, s, 2)
     with pytest.raises(InvariantError, match="disagrees with w_2"):
-        s._eigenvector_ap(lift, {}, {**f.sign_w, 2: -f.sign_w[2]}, 7)
-    s = build_space(130)
-    f = s.rational_eigenspaces()[0]
-    lift = s._lift_cuspidal(f.eigenspace.basis.entries[0])
+        s.rational_eigenspaces()
+    monkeypatch.setattr(manincert.heckeforms, "sturm_bound", lambda n: 7)
+    assert [list(f.ap) for f in ModSymSpace(130).rational_eigenspaces()] == [[2, 3, 5, 7]] * 3
+    s = ModSymSpace(130)
+    _patch_w_flipped(monkeypatch, s, 13)
     with pytest.raises(InvariantError, match="disagrees with w_13"):
-        s._eigenvector_ap(lift, {}, {**f.sign_w, 13: -f.sign_w[13]}, 7)
-    assert list(s._eigenvector_ap(lift, {}, f.sign_w, 7)) == [2, 3, 5, 7]
+        s.rational_eigenspaces()
+
+
+def test_split_builds_each_hecke_image_map_at_most_twice(monkeypatch):
+    """At 198 (five newforms, Sturm bound 72) the pass builds each T_m image
+    map once for all newforms; the split's hecke_on_coords builds it once
+    more where it reads T_m."""
+    from manincert.heckeforms import sturm_bound
+
+    s = ModSymSpace(198)
+    right = s._hecke_images
+    calls = {}
+
+    def counted(m):
+        calls[m] = calls.get(m, 0) + 1
+        return right(m)
+
+    monkeypatch.setattr(s, "_hecke_images", counted)
+    assert len(s.rational_eigenspaces()) == 5
+    assert max(calls.values()) <= 2, calls
+    assert sorted(calls) == primes_up_to(sturm_bound(198))
 
 
 def test_eigenspaces_are_saturated_rank_two():
