@@ -200,7 +200,7 @@ def run_numeric(args, catalog: Catalog, fmt: str) -> int:
         "lattice_kind": lat_e.kind,
     }
     _emit(payload, fmt)
-    return 0 if resid < max(tol, 1e-6) else 6
+    return 0 if resid < tol else 6
 
 
 def run_selftest(fmt: str) -> int:

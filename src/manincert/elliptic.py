@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import divisors, factorize, primes_up_to
@@ -230,13 +231,73 @@ def two_torsion_rank(m: MinimalModel) -> int:
     return {0: 0, 1: 1, 3: 2}[n]
 
 
+_DIGITS = bytes.maketrans(bytes(range(4)), b"0123")
+_NONZERO = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+
+
+def _digits_int(values: bytes, base: int, table: bytes = _DIGITS) -> int:
+    """The int whose base-`base` digit v is values[v] mapped through table."""
+    return int(values.translate(table)[::-1], base)
+
+
+class _PrimeTables:
+    """What count_points reads at a prime p >= 5, built from p alone: the
+    quadratic character chi as bit masks, square roots mod p, and for each
+    a in {0, 1, n} (n the least non-residue) the multiplicities
+    H_a(v) = #{X : X^3 + a X = v} as bit planes.  Each table is filled by
+    one interpreted pass over x <= (p - 1) / 2 and held in a byte buffer
+    and ints, with no Python object per entry."""
+
+    def __init__(self, p: int):
+        width = 2 if p < 1 << 16 else 4  # bytes per square root
+        root = memoryview(bytearray(width * p)).cast("H" if width == 2 else "I")
+        for y in range(1, (p + 1) // 2):
+            root[y * y % p] = y
+        raw = root.tobytes()
+        square = 0  # bit v: v a nonzero square
+        for j in range(width):
+            square |= _digits_int(raw[j::width], 2, _NONZERO)
+        nonsquare = (1 << p) - 2 - square
+        self.p = p
+        self.root = root
+        # doubled, so a right shift by s has bit v set where v + s is a
+        # nonzero square (a non-square)
+        self.square2 = square | square << p
+        self.nonsquare2 = nonsquare | nonsquare << p
+        self.n = (nonsquare & -nonsquare).bit_length() - 1
+        self.n_inv = pow(self.n, -1, p)
+        self._planes: dict[int, tuple[int, int]] = {}
+
+    def planes(self, a: int) -> tuple[int, int]:
+        """The low and high binary digits of H_a(v) (at most 3) at bit v.
+
+        h_a is odd, so H_a(v) = c(v) + c(-v) + [v = 0] with c counting only
+        x in 1..(p-1)/2; as base-4 digits the two counts add without carry."""
+        if a not in self._planes:
+            p = self.p
+            c = bytearray(p)
+            for x in range(1, (p + 1) // 2):
+                c[(x * x + a) * x % p] += 1
+            h = _digits_int(c, 4) + _digits_int(c[:1] + c[:0:-1], 4) + 1
+            bits = format(h, f"0{2 * p}b")
+            self._planes[a] = int(bits[1::2], 2), int(bits[::2], 2)
+        return self._planes[a]
+
+
+_prime_tables = lru_cache(maxsize=None)(_PrimeTables)
+
+
 def count_points(m: MinimalModel, p: int) -> int:
     """#E(F_p) at a prime p of good reduction.
 
-    p = 2, 3 by direct enumeration.  For p >= 5, completing the square turns
-    the model into (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so each x
-    contributes 1 + chi(rhs) affine points, chi the quadratic character mod
-    p; chi is read from a table of the squares mod p built once per call.
+    p = 2, 3 by direct enumeration.  For p >= 5, X = 36x + 3 b2 and
+    Y = 108 (2y + a1 x + a3) take the model to Y^2 = X^3 + A X + B with
+    A = -27 c4, B = -54 c6, so #E(F_p) = p + 1 + sum_X chi(X^3 + A X + B),
+    chi the quadratic character mod p.  With a in {1, n} the class of A
+    modulo squares and lam^2 = A / a (a = 0, lam = 1 when A = 0), X = lam X'
+    makes the sum chi(lam) sum_v H_a(v) chi(v + B lam^-3).  That is a few
+    popcounts of H_a's bit planes against the shifted character masks of
+    the tables that _prime_tables caches on p alone.
     """
     a1, a2, a3, a4, a6 = m.ainvs
     if p in (2, 3):
@@ -247,14 +308,20 @@ def count_points(m: MinimalModel, p: int) -> int:
                         (x * x * x + a2 * x * x + a4 * x + a6)) % p == 0:
                     count += 1
         return count
-    b2, b4, b6, _ = m.b_invariants()
-    b2, b4, b6 = b2 % p, 2 * b4 % p, b6 % p
-    chi = [-1] * p
-    chi[0] = 0
-    for y in range(1, (p + 1) // 2):
-        chi[y * y % p] = 1
-    return p + 1 + sum([chi[(((4 * x + b2) * x + b4) * x + b6) % p]
-                        for x in range(p)])
+    t = _prime_tables(p)
+    big_a, big_b = -27 * m.c4 % p, -54 * m.c6 % p
+    if big_a == 0:
+        a, lam = 0, 1
+    elif t.root[big_a]:
+        a, lam = 1, t.root[big_a]
+    else:
+        a, lam = t.n, t.root[big_a * t.n_inv % p]
+    shift = big_b * pow(lam, -3, p) % p
+    low, high = t.planes(a)
+    sq, nsq = t.square2 >> shift, t.nonsquare2 >> shift
+    total = ((low & sq).bit_count() - (low & nsq).bit_count()
+             + 2 * ((high & sq).bit_count() - (high & nsq).bit_count()))
+    return p + 1 + (total if t.square2 >> lam & 1 else -total)
 
 
 def ap_via_counting(m: MinimalModel, p: int) -> int:

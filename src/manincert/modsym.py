@@ -801,7 +801,7 @@ class ModSymSpace:
         """build(self, g) for the space's own newform g with f's eigenspace,
         computed once per newform and `build`: what the split fixes for a
         newform (heckeforms.homology_annihilator, eigen_ap_provider,
-        periods.period_lifts)."""
+        periods.period_lifts, periods.period_combos)."""
         key = (build, self.newform_index(f))
         if key not in self._newform_data:
             self._newform_data[key] = build(self, self._newforms[key[1]])

@@ -195,6 +195,7 @@ class NewformPeriods:
         self._star_height = 1.0 / math.sqrt(self.N)
         self._s_star: complex | None = None
         self._fricke_checked = False
+        self._weights: dict[tuple[int, bool], list] = {}  # (terms, over_n) -> w_n
 
     # -- q-series ------------------------------------------------------------
 
@@ -202,9 +203,12 @@ class NewformPeriods:
         """sum w_n e^{2 pi i n z} with certified tail <= tol, where w_n is
         a_n / n (the S-sum) if over_n, else a_n (f(z) itself)."""
         m = self._terms_needed(z.imag, tol, weight_extra=0 if over_n else 1)
-        weights = a_list(self.f, m)
-        if over_n:
-            weights = [a / n for n, a in enumerate(weights, 1)]
+        weights = self._weights.get((m, over_n))
+        if weights is None:
+            weights = a_list(self.f, m)
+            if over_n:
+                weights = [a / n for n, a in enumerate(weights, 1)]
+            self._weights[m, over_n] = weights
         q = cmath.exp(2j * math.pi * z)
         acc = 0j
         qn = 1.0 + 0j
@@ -268,19 +272,6 @@ class NewformPeriods:
 
     # -- gamma loops ----------------------------------------------------------
 
-    def _express(self, rows: list[list[int]]):
-        """Rational combinations of gamma classes giving the target rows.
-
-        Every call tries the widths 2g+6, 2g+6+max(8, g), ... in that order,
-        each through the level's one solver for it."""
-        want = 2 * self.space.genus + 6
-        while True:
-            solver = self.space.loop_solver(want)
-            combos = [solver.solve(row, integral=False) for row in rows]
-            if None not in combos:
-                return combos
-            want += max(8, self.space.genus)
-
     def _gamma_period(self, i: int, tol: float) -> complex:
         a, b, mod, d = self.space.gamma_loops[i]
         y = 1.0
@@ -290,8 +281,12 @@ class NewformPeriods:
 
     def periods_of_rows(self, rows: list[list[int]], tol: float):
         """Periods of cuspidal-coordinate rows, certified to tol each."""
+        return self.periods_of_combos(_express(self.space, rows), tol)
+
+    def periods_of_combos(self, combos: list[list[Fraction]], tol: float):
+        """Periods of rational combinations of gamma classes (as _express
+        gives them), certified to tol each."""
         check_tolerance(tol)
-        combos = self._express(rows)
         out = []
         for combo in combos:
             weight = sum(abs(q) for q in combo) or Fraction(1)
@@ -307,8 +302,8 @@ class NewformPeriods:
 def newform_period_lattice(space: ModSymSpace, f: RationalNewform,
                            tol: float) -> PeriodLattice:
     """Lattice of integrals of 2*pi*i*f over L / (L cap V_f-perp)."""
-    lifts = space.newform_data(f, period_lifts)
-    w1, w2 = NewformPeriods(space, f).periods_of_rows(lifts.tolists(), tol)
+    combos = space.newform_data(f, period_combos)
+    w1, w2 = NewformPeriods(space, f).periods_of_combos(combos, tol)
     if (w1.conjugate() * w2).imag == 0:
         raise InconsistencyError("degenerate newform period lattice")
     if (w1.conjugate() * w2).imag < 0:
@@ -323,6 +318,26 @@ def period_lifts(space: ModSymSpace, f: RationalNewform) -> IntMatrix:
     lifts = solve_in_rowspace(quot.transpose(), IntMatrix.identity(2), integral=True)
     require(lifts is not None, "quotient coordinate map is not surjective")
     return lifts
+
+
+def period_combos(space: ModSymSpace, f: RationalNewform) -> list[list[Fraction]]:
+    """The gamma-class combinations of f's two period_lifts rows, built once
+    per newform by the space (ModSymSpace.newform_data)."""
+    return _express(space, space.newform_data(f, period_lifts).tolists())
+
+
+def _express(space: ModSymSpace, rows: list[list[int]]) -> list[list[Fraction]]:
+    """Rational combinations of gamma classes giving the target rows.
+
+    Every call tries the widths 2g+6, 2g+6+max(8, g), ... in that order,
+    each through the level's one solver for it."""
+    want = 2 * space.genus + 6
+    while True:
+        solver = space.loop_solver(want)
+        combos = [solver.solve(row, integral=False) for row in rows]
+        if None not in combos:
+            return combos
+        want += max(8, space.genus)
 
 
 def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:

@@ -160,9 +160,9 @@ def test_criterion_7_modular_symbols_properties():
             for p, e in factorize(n).items():
                 w = space.atkin_lehner(p ** e)
                 assert w * w == IntMatrix.identity(w.rows)
-        # Eichler-Shimura agreement at all good p <= Sturm bound, N <= 200
-        # (every snapshot curve that certify computes live)
-        for rec in optimal_records(200):
+        # Eichler-Shimura agreement at all good p <= Sturm bound for every
+        # optimal snapshot curve: N <= 200 and the four curves of level 530
+        for rec in optimal_records(530):
             space = build_space(rec.conductor)
             f = match_curve_to_newform(rec.model, rec.conductor,
                                        space.rational_eigenspaces())

@@ -241,6 +241,16 @@ def test_numeric_tol_zero_usage_error(capsys, tol):
     assert code == 2 and "usage error" in err and "Traceback" not in err
 
 
+def test_numeric_exit_code_applies_the_printed_tolerance(capsys):
+    """numeric exits 0 only when the residual it prints is below the
+    tolerance it prints: 37.a1's residual (5.6e-16) is not below 3e-16."""
+    code, out, _ = run(capsys, "--format", "json", "numeric", "--label", "37.a1",
+                       "--tol", "3e-16")
+    payload = json.loads(out)
+    assert payload["abs_c"] == 1 and payload["tolerance"] == 3e-16
+    assert payload["residual"] >= 3e-16 and code == 6
+
+
 @pytest.mark.parametrize("argv", (
     ("certify", "--ainvs", "0,0,0,0,0"),      # singular
     ("numeric", "--ainvs", "0,0,0,0,0"),

@@ -154,14 +154,50 @@ def test_point_counts_match_brute_force_on_snapshot():
                 assert count_points(m, p) == _brute_force_count(m, p), (label, p)
 
 
+def _scaling_branch(m, p):
+    """The class count_points reduces A = -27 c4 to mod p: 0, a square
+    (a = 1) or a non-square (a = n)."""
+    big_a = -27 * m.c4 % p
+    if big_a == 0:
+        return "zero"
+    return "square" if pow(big_a, (p - 1) // 2, p) == 1 else "non-square"
+
+
 def test_point_counts_match_euler_criterion():
-    labels = ("11.a2", "37.a1", "54.b1", "66.c1", "130.a2", "198.d4", "530.a1")
+    """Every good prime 5 <= p <= 401 on curves with c4 = 0 (27.a1, 36.a1:
+    A = 0) and c6 = 0 (32.a1, 64.a1: B = 0) among them, and 198.d4 up to
+    the cutoff of its numeric q-series (p <= 2600).  Each branch of the
+    reduction of A is reached at primes of both classes mod 4."""
+    labels = ("11.a2", "27.a1", "32.a1", "36.a1", "37.a1", "54.b1", "64.a1",
+              "66.c1", "130.a2", "198.d4", "530.a1")
     entries = fixture_entries()
+    branches, b_zero = set(), set()
     for label in labels:
         m = minimal_model_from_ainvs(entries[label].ainvs)
-        for p in primes_up_to(401):
+        bound = 2600 if label == "198.d4" else 401
+        for p in primes_up_to(bound):
             if p >= 5 and m.delta_min % p:
                 assert count_points(m, p) == _euler_criterion_count(m, p), (label, p)
+                branches.add((_scaling_branch(m, p), p % 4))
+                if m.c6 % p == 0:
+                    b_zero.add(p % 4)
+    assert branches == {(b, r) for b in ("zero", "square", "non-square") for r in (1, 3)}
+    assert b_zero == {1, 3}
+
+
+def test_point_count_tables_are_keyed_by_the_prime_alone():
+    """Counting two curves at one prime adds one table, built from p alone:
+    equal to a fresh build, with planes only for a in {0, 1, n}."""
+    elliptic._prime_tables.cache_clear()
+    for ainvs in (E11, E37, (0, 0, 0, 0, 1)):
+        count_points(minimal_model_from_ainvs(ainvs), 101)
+    info = elliptic._prime_tables.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    t, fresh = elliptic._prime_tables(101), elliptic._PrimeTables(101)
+    assert (t.root, t.square2, t.nonsquare2, t.n) == \
+        (fresh.root, fresh.square2, fresh.nonsquare2, 2)
+    assert set(t._planes) <= {0, 1, t.n}
+    assert all(t._planes[a] == fresh.planes(a) for a in t._planes)
 
 
 def test_hasse_bound_is_a_typed_check(monkeypatch):

@@ -16,6 +16,8 @@ from manincert.periods import (
     lattice_c4c6,
     manin_constant_numeric,
     newform_period_lattice,
+    period_combos,
+    period_lifts,
 )
 
 E11 = (0, -1, 1, -10, -20)
@@ -109,6 +111,32 @@ def test_periods_invariant_under_rebasing():
     assert abs(q2 - (2 * p1 + p2)) < 1e-9
 
 
+def test_period_combos_give_the_period_lifts_periods():
+    """The gamma-class combinations the space keeps per newform give, float
+    for float, the periods that periods_of_rows finds for the period lifts."""
+    s, f, _ = matched_newform(11, E11)
+    combos = s.newform_data(f, period_combos)
+    rows = s.newform_data(f, period_lifts).tolists()
+    assert NewformPeriods(s, f).periods_of_combos(combos, 1e-10) == \
+        NewformPeriods(s, f).periods_of_rows(rows, 1e-10)
+
+
+def test_q_series_weights_built_once_per_prefix(monkeypatch):
+    """One period computation reads a_list once for each series length and
+    kind of weight (a_n or a_n / n) it sums, however many sums share it."""
+    from manincert import periods
+
+    s, f, _ = matched_newform(11, E11)
+    lengths, sums = [], []
+    orig, orig_sum = periods.a_list, NewformPeriods._q_sum
+    monkeypatch.setattr(periods, "a_list", lambda g, m: lengths.append(m) or orig(g, m))
+    monkeypatch.setattr(NewformPeriods, "_q_sum",
+                        lambda *args, **kw: sums.append(args) or orig_sum(*args, **kw))
+    calc = NewformPeriods(s, f)
+    calc.periods_of_combos(s.newform_data(f, period_combos), 1e-8)
+    assert len(lengths) == len(calc._weights) < len(sums)
+
+
 def test_covolume_ratio_is_degree_squared():
     """Independent numeric oracle for the modular degree: the periods over
     the f-isotypic sublattice against those over the projected quotient have
@@ -147,9 +175,10 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     """The space builds what the split fixes for a newform once: across two
     dataclasses.replace copies of each newform at 37 and two numeric queries
     there, the Hecke complement on the cuspidal lattice is computed once per
-    newform, so is the dual eigenvector's (on class coordinates) and the
-    solve for the period lifts, and the gamma-class solver once per loop
-    width.  No copy ever carries an a_p source the package set on it."""
+    newform, so is the dual eigenvector's (on class coordinates), the
+    solve for the period lifts and their gamma-class combinations, and the
+    gamma-class solver once per loop width.  No copy ever carries an a_p
+    source the package set on it."""
     from manincert import intlattice, modsym, periods
     from manincert.cli import main
     from manincert.invariants import modular_degree
@@ -157,7 +186,9 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     monkeypatch.setattr(modsym, "_SPACES", {})
     s = build_space(37)
     calls, coord_calls, loop_widths, lift_solves = [], [], [], []
+    expressed = []
     orig = heckeforms.hecke_complement_rows
+    orig_express = periods._express
     orig_hnf = intlattice.hnf_with_transform
     orig_solve = periods.solve_in_rowspace
 
@@ -180,6 +211,8 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     monkeypatch.setattr(heckeforms, "hecke_complement_rows", counting)
     monkeypatch.setattr(intlattice, "hnf_with_transform", counting_hnf)
     monkeypatch.setattr(periods, "solve_in_rowspace", counting_solve)
+    monkeypatch.setattr(periods, "_express",
+                        lambda *args: expressed.append(args) or orig_express(*args))
     forms = s.rational_eigenspaces()
     copies = [dataclasses.replace(g, ap=dict(g.ap), _an=dict(g._an))
               for _ in range(2) for g in forms]
@@ -192,6 +225,7 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     assert len(calls) == len(forms) == 2
     assert len(coord_calls) == len(forms)
     assert len(lift_solves) == len(forms)
+    assert len(expressed) == len(forms)
     assert loop_widths and sorted(loop_widths) == sorted(set(loop_widths))
     assert all(f._ap_provider is None for f in copies + s.rational_eigenspaces())
 
