@@ -137,11 +137,6 @@ def coverage_check(max_conductor: int):
                 f"{counts.get(n, 0)} classes, manifest says {expected}")
 
 
-def _label_sort_key(label: str):
-    n, cls, num = parse_label(label)
-    return (n, cls, num)
-
-
 # ---------------------------------------------------------------------------
 # fetching
 
@@ -157,7 +152,7 @@ class Catalog:
         coverage_check(max_conductor)
         out = [e for e in fixture_entries().values()
                if e.conductor <= max_conductor]
-        out.sort(key=lambda e: _label_sort_key(e.label))
+        out.sort(key=lambda e: parse_label(e.label))
         return out
 
     def fetch_curve(self, label: str) -> CatalogEntry:

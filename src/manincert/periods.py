@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .heckeforms import RationalNewform, a_list, homology_annihilator
 from .intlattice import IntMatrix, require, solve_in_rowspace
@@ -45,6 +44,9 @@ def check_tolerance(tol: float):
 
 @dataclass(frozen=True)
 class PeriodLattice:
+    """A period lattice in its one canonical basis, made where it is built:
+    omega1 is the least positive real period, and omega2 the partner of least
+    positive height, with real part in [0, omega1)."""
     omega1: complex
     omega2: complex
     kind: str  # "rectangular" | "non-rectangular"
@@ -87,7 +89,7 @@ def _real_roots_of_quartic_free_cubic(b2: int, b4: int, b6: int):
     # one real root
     u = cmath.sqrt(q * q / 4.0 + p**3 / 27.0)
     for cand in (-q / 2.0 + u, -q / 2.0 - u):
-        cr = cand ** (1.0 / 3.0) if isinstance(cand, float) else cand ** (1 / 3)
+        cr = cand ** (1 / 3)
         if abs(cr) > 1e-18:
             break
     w = cr - p / (3.0 * cr)
@@ -113,7 +115,8 @@ def _real_roots_of_quartic_free_cubic(b2: int, b4: int, b6: int):
 
 
 def elliptic_period_lattice(m, tol: float) -> PeriodLattice:
-    """Neron period lattice of a minimal model via real AGM."""
+    """Neron period lattice of a minimal model via real AGM, in the canonical
+    basis (omega2 = i*y when rectangular, omega1/2 + i*y otherwise)."""
     check_tolerance(tol)
     b2, b4, b6, _ = m.b_invariants()
     b2, b4, b6 = int(b2), int(b4), int(b6)
@@ -283,18 +286,15 @@ class NewformPeriods:
         """Periods of cuspidal-coordinate rows, certified to tol each."""
         return self.periods_of_combos(_express(self.space, rows), tol)
 
-    def periods_of_combos(self, combos: list[list[Fraction]], tol: float):
-        """Periods of rational combinations of gamma classes (as _express
-        gives them), certified to tol each."""
+    def periods_of_combos(self, combos: list[tuple[float, list[tuple[int, float]]]], tol: float):
+        """Periods of combinations of gamma classes (as _express gives them),
+        certified to tol each."""
         check_tolerance(tol)
         out = []
-        for combo in combos:
-            weight = sum(abs(q) for q in combo) or Fraction(1)
-            per_gamma_tol = tol / float(2 * weight)
+        for weight, terms in combos:
             acc = 0j
-            for j, q in enumerate(combo):
-                if q:
-                    acc += float(q) * self._gamma_period(j, per_gamma_tol)
+            for j, q in terms:
+                acc += q * self._gamma_period(j, tol / weight)
             out.append(acc)
         return out
 
@@ -320,14 +320,15 @@ def period_lifts(space: ModSymSpace, f: RationalNewform) -> IntMatrix:
     return lifts
 
 
-def period_combos(space: ModSymSpace, f: RationalNewform) -> list[list[Fraction]]:
+def period_combos(space: ModSymSpace, f: RationalNewform):
     """The gamma-class combinations of f's two period_lifts rows, built once
     per newform by the space (ModSymSpace.newform_data)."""
     return _express(space, space.newform_data(f, period_lifts).tolists())
 
 
-def _express(space: ModSymSpace, rows: list[list[int]]) -> list[list[Fraction]]:
-    """Rational combinations of gamma classes giving the target rows.
+def _express(space: ModSymSpace, rows: list[list[int]]):
+    """Rational combinations of gamma classes giving the target rows, each as
+    (2 * sum |q|, [(j, float(q)) for the nonzero q]); a zero row has weight 2.
 
     Every call tries the widths 2g+6, 2g+6+max(8, g), ... in that order,
     each through the level's one solver for it."""
@@ -336,7 +337,8 @@ def _express(space: ModSymSpace, rows: list[list[int]]) -> list[list[Fraction]]:
         solver = space.loop_solver(want)
         combos = [solver.solve(row, integral=False) for row in rows]
         if None not in combos:
-            return combos
+            return [(float(2 * (sum(map(abs, c)) or 1)),
+                     [(j, float(q)) for j, q in enumerate(c) if q]) for c in combos]
         want += max(8, space.genus)
 
 
@@ -375,15 +377,14 @@ def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
 
 def manin_constant_numeric(lat_e: PeriodLattice, lat_f: PeriodLattice,
                            tol: float):
-    """|c| with Lambda_f = c * Lambda_E, asserted to be a nonzero integer."""
+    """|c| with Lambda_f = c * Lambda_E, asserted to be a nonzero integer.
+    Both lattices come in their canonical bases, so c maps basis to basis."""
     check_tolerance(tol)
-    ce = _canonicalize(lat_e.omega1, lat_e.omega2, lat_e.precision)
-    cf = _canonicalize(lat_f.omega1, lat_f.omega2, lat_f.precision)
-    c = cf.omega1.real / ce.omega1.real
-    c_im = cf.omega2.imag / ce.omega2.imag
-    if abs(c - c_im) > 1e4 * tol * max(1.0, c):
+    c = lat_f.omega1.real / lat_e.omega1.real
+    c1, c2 = lat_f.omega1 / lat_e.omega1, lat_f.omega2 / lat_e.omega2
+    if max(abs(c1 - c), abs(c2 - c)) > 1e4 * tol * max(1.0, c):
         raise InconsistencyError(
-            f"lattices are not homothetic: real ratio {c}, imaginary ratio {c_im}"
+            f"lattices are not homothetic: basis ratios {c1}, {c2}"
         )
     nearest = round(c)
     resid = abs(c - nearest)

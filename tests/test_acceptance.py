@@ -120,8 +120,9 @@ def test_criterion_4_numeric_manin_constants():
 
 
 def test_criterion_5_degree_oracle():
-    with criterion(5, "degree oracle and perfect-square index, conductor <= 100"):
-        for rec in optimal_records(100):
+    with criterion(5, "degree oracle and perfect-square index, every optimal "
+                      "snapshot curve (conductor <= 200 and 530)"):
+        for rec in optimal_records(530):
             space = build_space(rec.conductor)
             f = match_curve_to_newform(rec.model, rec.conductor,
                                        space.rational_eigenspaces())
@@ -131,9 +132,11 @@ def test_criterion_5_degree_oracle():
 
 
 def test_criterion_6_divisibility_suite():
-    with criterion(6, "deg | r_f for every rational newform, level <= 100; "
-                      "gap never negative and zero at odd levels"):
-        for n in range(1, 101):
+    with criterion(6, "deg | r_f for every rational newform, levels 1..100 "
+                      "and every snapshot conductor (530 included); gap never "
+                      "negative and zero at odd levels"):
+        levels = set(range(1, 101)) | {e.conductor for e in fixture_entries().values()}
+        for n in sorted(levels):
             space = build_space(n)
             for f in space.rational_eigenspaces():
                 d = modular_degree(space, f)

@@ -132,11 +132,32 @@ def test_entry_json_roundtrip():
         assert CatalogEntry.from_json(e.to_json()) == e, e.label
 
 
-def test_build_fixtures_imports(monkeypatch):
-    """The snapshot generator's imports resolve; main() is not run."""
+def _load_build_fixtures(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("build_fixtures", BUILD_FIXTURES)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+def test_build_fixtures_imports(monkeypatch):
+    """The snapshot generator's imports resolve; main() is not run."""
+    mod = _load_build_fixtures(monkeypatch)
     assert callable(mod.main)
     assert mod.CatalogEntry is CatalogEntry
+
+
+@pytest.mark.parametrize("n", [11, 37, 57])
+def test_build_level_reproduces_the_snapshot(monkeypatch, n):
+    """The generator rebuilds each class's optimal curve at n from its newform
+    period lattice alone (a_p from the dual eigenvector, no curve): the same
+    minimal model, modular degree and torsion order as the snapshot."""
+    mod = _load_build_fixtures(monkeypatch)
+    snapshot = {parse_label(e.label)[1]: e for e in fixture_entries().values()
+                if e.conductor == n and e.optimality_flag}
+    built = dict(mod.build_level(n, verbose=False))
+    assert sorted(built) == sorted(snapshot)
+    for letter, data in built.items():
+        e = snapshot[letter]
+        assert tuple(data["ainvs"]) == e.ainvs, e.label
+        assert (data["degree"], data["torsion"]) == (e.modular_degree, e.torsion_order), e.label

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from manincert.periods import (
     period_combos,
     period_lifts,
 )
+from manincert import periods
 
 E11 = (0, -1, 1, -10, -20)
 
@@ -57,6 +59,67 @@ def test_agm_eisenstein_roundtrip():
         c4, c6 = lattice_c4c6(lat.omega1, lat.omega2)
         assert abs(c4 - m.c4) < 1e-6 * max(1, abs(m.c4))
         assert abs(c6 - m.c6) < 1e-6 * max(1, abs(m.c6))
+
+
+@pytest.mark.parametrize("ainvs", [E11, (0, 0, 1, -1, 0), (0, 0, 0, -1, 0)])
+def test_elliptic_lattice_is_built_canonical(ainvs):
+    """At 11.a2, 37.a1 and y^2 = x^3 - x the AGM basis already is the
+    canonical one (PeriodLattice): canonicalizing it again
+    gives the same omega1, bit for bit, the same kind and, to rounding, the
+    same omega2."""
+    lat = elliptic_period_lattice(minimal_model_from_ainvs(ainvs), 1e-10)
+    again = periods._canonicalize(lat.omega1, lat.omega2, lat.precision)
+    assert (again.omega1, again.kind) == (lat.omega1, lat.kind)
+    assert abs(again.omega2 - lat.omega2) < 1e-12 * abs(lat.omega2)
+
+
+@pytest.mark.parametrize("n, ainvs", [(11, E11), (37, (0, 0, 1, -1, 0))])
+def test_rebased_lattice_is_refused(n, ainvs):
+    """manin_constant_numeric takes both lattices in their canonical bases; a
+    lattice handed over in the basis (omega1 + omega2, omega2) is refused,
+    on either side, rather than read into a wrong |c|."""
+    s, f, m = matched_newform(n, ainvs)
+    lat_e = elliptic_period_lattice(m, 1e-10)
+    lat_f = newform_period_lattice(s, f, 1e-9)
+    assert manin_constant_numeric(lat_e, lat_f, 1e-6)[0] == 1
+    re_e, re_f = (dataclasses.replace(lat, omega1=lat.omega1 + lat.omega2)
+                  for lat in (lat_e, lat_f))
+    for pair in ((re_e, lat_f), (lat_e, re_f)):
+        with pytest.raises(InconsistencyError, match="not homothetic"):
+            manin_constant_numeric(*pair, 1e-6)
+
+
+def test_numeric_canonicalizes_once_and_keeps_float_combos(monkeypatch):
+    """One numeric query canonicalizes one lattice (the newform's; the AGM
+    builds the elliptic one canonical), and a second period query on the same
+    newform builds no Fraction: its gamma-class combinations are kept as
+    floats."""
+    from manincert.cli import main
+
+    canonicalized = []
+    orig_canonicalize = periods._canonicalize
+    monkeypatch.setattr(periods, "_canonicalize",
+                        lambda *args: canonicalized.append(args) or orig_canonicalize(*args))
+    assert main(["numeric", "--label", "37.a1"]) == 0
+    assert len(canonicalized) == 1
+    s, f, _ = matched_newform(37, (0, 0, 1, -1, 0))
+    built = []
+    orig_new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kw):
+        built.append(args)
+        return orig_new(cls, *args, **kw)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(fractions.Fraction, "_from_coprime_ints"):  # Python >= 3.12
+        orig_coprime = fractions.Fraction._from_coprime_ints
+        monkeypatch.setattr(fractions.Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, *args: built.append(args) or orig_coprime(*args)))
+    assert newform_period_lattice(s, f, 1e-8).omega1.real > 0
+    assert built == []
+    combos = s.newform_data(f, period_combos)
+    assert all(type(x) is float for weight, terms in combos
+               for x in [weight] + [q for _, q in terms])
 
 
 def test_tolerance_errors():
