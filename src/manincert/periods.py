@@ -347,15 +347,16 @@ def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
     of a lattice stable under complex conjugation."""
     u, v = _gauss_reduce(w1, w2)
     scale = max(abs(u), abs(v))
-    best_re = None
-    best_im = None
+    # real-axis band; wider than at tol 1e-8, it takes non-real periods as real
+    band = min(1e7 * tol, 0.1) * scale
+    best_re = best_im = None
     rng = range(-4, 5)
     for mm in rng:
         for nn in rng:
             z = mm * u + nn * v
             if abs(z) < 1e-13 * scale:
                 continue
-            if abs(z.imag) < 1e7 * tol * scale and z.real > 0:
+            if abs(z.imag) < band and z.real > 0:
                 if best_re is None or z.real < best_re.real - 1e-12 * scale:
                     best_re = z
     if best_re is None:
@@ -363,7 +364,7 @@ def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
     for mm in rng:
         for nn in rng:
             z = mm * u + nn * v
-            if z.imag > 1e7 * tol * scale:
+            if z.imag > band:
                 # normalize the real part into [0, omega1)
                 k = math.floor(z.real / best_re.real + 1e-9)
                 z = z - k * best_re
@@ -378,10 +379,12 @@ def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
 def manin_constant_numeric(lat_e: PeriodLattice, lat_f: PeriodLattice,
                            tol: float):
     """|c| with Lambda_f = c * Lambda_E, asserted to be a nonzero integer.
-    Both lattices come in their canonical bases, so c maps basis to basis."""
+    Both are canonical, so c maps omega1 to omega1 and omega2 to omega2 modulo
+    omega1 (rounding may put Re omega2 at either end of [0, omega1))."""
     check_tolerance(tol)
     c = lat_f.omega1.real / lat_e.omega1.real
-    c1, c2 = lat_f.omega1 / lat_e.omega1, lat_f.omega2 / lat_e.omega2
+    k = round((lat_f.omega2 - c * lat_e.omega2).real / lat_f.omega1.real)
+    c1, c2 = lat_f.omega1 / lat_e.omega1, (lat_f.omega2 - k * lat_f.omega1) / lat_e.omega2
     if max(abs(c1 - c), abs(c2 - c)) > 1e4 * tol * max(1.0, c):
         raise InconsistencyError(
             f"lattices are not homothetic: basis ratios {c1}, {c2}"

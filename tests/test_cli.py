@@ -251,6 +251,18 @@ def test_numeric_exit_code_applies_the_printed_tolerance(capsys):
     assert payload["residual"] >= 3e-16 and code == 6
 
 
+@pytest.mark.parametrize("tol", ("5e-8", "1e-7", "1e-6", "1e-5"))
+@pytest.mark.parametrize("label", ("11.a2", "37.a1"))
+def test_numeric_at_a_coarse_tolerance(capsys, label, tol):
+    """A coarse --tol still finds |c| = 1: the newform lattice's real period
+    is told from its non-real ones as at 1e-8, and a rounding-moved omega2
+    is compared modulo omega1."""
+    code, out, _ = run(capsys, "--format", "json", "numeric", "--label", label,
+                       "--tol", tol)
+    payload = json.loads(out)
+    assert code == 0 and payload["abs_c"] == 1 and payload["residual"] < float(tol)
+
+
 @pytest.mark.parametrize("argv", (
     ("certify", "--ainvs", "0,0,0,0,0"),      # singular
     ("numeric", "--ainvs", "0,0,0,0,0"),
