@@ -62,7 +62,7 @@ class RationalNewform:
     sign_w: dict[int, int]
     _an: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     # the caller's a_p source past the stored primes (numeric passes the
-    # curve's point counts); without one, the space's dual eigenvector serves
+    # curve's point counts); without one, the space's a_p table serves
     _ap_provider: Callable[[int], int] | None = field(default=None, repr=False,
                                                       compare=False)
 
@@ -80,43 +80,15 @@ class RationalNewform:
     def prime_eigenvalue(self, p: int) -> int:
         if p not in self.ap:
             if self.level % p == 0:
-                self.ap[p] = bad_prime_eigenvalue(self.level, p, self.sign_w)
+                a = bad_prime_eigenvalue(self.level, p, self.sign_w)
+            elif self._ap_provider:
+                a = self._ap_provider(p)
             else:
-                a = (self._ap_provider or build_space(self.level).newform_data(
-                    self, eigen_ap_provider))(p)
-                require(a * a <= 4 * p, f"Hasse bound fails at {p}")
-                self.ap[p] = a
+                space = build_space(self.level)
+                a = space.eigen_ap(p)[space.newform_index(self)]
+            require(a * a <= 4 * p, f"Hasse bound fails at {p}")
+            self.ap[p] = a
         return self.ap[p]
-
-
-def eigen_ap_provider(space, f: RationalNewform):
-    """Exact a_p extraction from the eigenspace via a dual eigenvector.
-
-    Builds an integer functional u on formal symbols that is a simultaneous
-    left eigenvector for the Hecke action; then a_p = u(T_p w0)/u(w0) for any
-    symbol w0 with u(w0) != 0, at the cost of one T_p image of w0 (Cremona's
-    Heilbronn set, since p does not divide the level).  The left eigenvectors
-    annihilate f's Hecke complement on class coordinates.  The space builds
-    it once per newform (ModSymSpace.newform_data).
-    """
-    k = space.rank
-    w = complement_annihilator(
-        hecke_complement_rows(space.hecke_on_coords, f, k - 2), k, 2).entries[0]
-    # u as a functional on formal symbol sums: u = w . K
-    u = [sum(w[t] * space.coords.entries[t][j] for t in range(k))
-         for j in range(space.mu)]
-    i0 = max(range(space.mu), key=lambda j: abs(u[j]))
-    u0 = u[i0]
-    require(u0 != 0, "dual eigenvector vanishes on every Manin symbol")
-
-    def provider(p: int) -> int:
-        require(space.level % p, "provider is for good primes only")
-        acc = sum(u[j] * c for j, c in space._hecke_images(p)({i0: 1}).items())
-        q, r = divmod(acc, u0)
-        require(r == 0, "dual eigenvector extraction returned a non-integer")
-        return q
-
-    return provider
 
 
 def a_list(f: RationalNewform, B: int) -> list[int]:

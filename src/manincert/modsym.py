@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cached_property
+from itertools import count
 from math import gcd, isqrt
 
 from .arith import divisors, factorize, primes_up_to, xgcd
@@ -248,6 +249,7 @@ class ModSymSpace:
         self._hecke_coord_cache: dict[int, IntMatrix] = {}
         self._hecke_cusp_cache: dict[int, IntMatrix] = {}
         self._newform_data: dict = {}  # (build, newform index) -> its result
+        self._eigen_aps: dict[int, list[int]] = {}  # see eigen_ap
         self.gamma_loops: list[tuple[int, int, int, int]] = []  # see loop_solver
         self._loop_classes: list[list[int]] = []
         self._loop_iter = self._gamma_candidates()
@@ -800,12 +802,48 @@ class ModSymSpace:
     def newform_data(self, f, build):
         """build(self, g) for the space's own newform g with f's eigenspace,
         computed once per newform and `build`: what the split fixes for a
-        newform (heckeforms.homology_annihilator, eigen_ap_provider,
-        periods.period_lifts, periods.period_combos)."""
+        newform (heckeforms.homology_annihilator, periods.period_lifts,
+        periods.period_combos)."""
         key = (build, self.newform_index(f))
         if key not in self._newform_data:
             self._newform_data[key] = build(self, self._newforms[key[1]])
         return self._newform_data[key]
+
+    @cached_property
+    def _eigen_functionals(self):
+        """Per newform f, a left Hecke eigenvector u_f on formal symbols and a
+        start symbol w with u_f(w) != 0, first among the symbols by how many
+        newforms they serve.  u_f is f's homology annihilator row after
+        T_l - l - 1, l the least prime not dividing N with l = 1 mod m, m^2
+        the largest square dividing N: an Eisenstein class has T_l-eigenvalue
+        chi(l) + l chi^-1(l) with cond(chi) | m, that is l + 1, so T_l - l - 1
+        maps every class into the cuspidal lattice (to_cuspidal_coords checks
+        it), on which u_f = (a_l - l - 1) row != 0: the row kills f's complement."""
+        from .heckeforms import homology_annihilator
+
+        m = max(d for d in divisors(self.level) if self.level % (d * d) == 0)
+        ell = next(q for q in count(m + 1, m) if self.level % q and factorize(q) == {q: 1})
+        shifted = self.hecke_on_coords(ell) - IntMatrix.identity(self.rank).scale(ell + 1)
+        cusp = IntMatrix.from_rows([self.to_cuspidal_coords(c)
+                                    for c in shifted.transpose().entries])
+        us = []
+        for g in self._newforms:
+            w = cusp.matvec(self.newform_data(g, homology_annihilator).entries[0])
+            us.append([sum(w[t] * x for t, x in col) for col in self._coord_cols])
+        served = sorted(range(self.mu), key=lambda j: -sum(1 for u in us if u[j]))
+        return [(u, next(j for j in served if u[j])) for u in us]
+
+    def eigen_ap(self, p: int) -> list[int]:
+        """a_p = u_f(T_p w)/u_f(w) for every newform f, in newform order, from
+        one T_p family and one image per start symbol; memoized per prime."""
+        if p not in self._eigen_aps:
+            images = self._hecke_images(p)
+            starts = {j: images({j: 1}) for j in {j for _, j in self._eigen_functionals}}
+            aps = [divmod(sum(u[i] * c for i, c in starts[j].items()), u[j])
+                   for u, j in self._eigen_functionals]
+            require(all(r == 0 for _, r in aps), "a_p table read a non-integer ratio")
+            self._eigen_aps[p] = [a for a, _ in aps]
+        return self._eigen_aps[p]
 
     def _lift_cuspidal(self, row) -> tuple[list[int], dict[int, int]]:
         """The class x of a cuspidal-coordinate row and its formal_sum lift."""

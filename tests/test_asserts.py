@@ -1,8 +1,9 @@
 """No `assert` guards a certificate: `python -O` deletes asserts, so every
-load-bearing check in the package is a `require` (InvariantError, exit code
-7) or a typed error.  The asserts that stay state pure algebra facts that
-the lines just above them imply; each is named here by module, enclosing
-function and condition, so a new assert (or a moved one) fails this test.
+load-bearing check in the package and in the snapshot generator is a
+`require` (InvariantError, exit code 7) or a typed error.  The asserts
+that stay in the package state pure algebra facts that the lines just above
+them imply; each is named here by module, enclosing function and condition,
+so a new assert (or a moved one) fails this test.  The generator keeps none.
 """
 
 import ast
@@ -25,7 +26,10 @@ ALLOWED = sorted([
 ])
 
 
-def package_asserts():
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def package_asserts(paths=None):
     found = []
 
     def walk(node, path, func):
@@ -37,10 +41,16 @@ def package_asserts():
                 found.append((path.name, func, ast.unparse(child.test)))
             walk(child, path, func)
 
-    for path in sorted(Path(manincert.__file__).parent.glob("*.py")):
+    for path in paths or sorted(Path(manincert.__file__).parent.glob("*.py")):
         walk(ast.parse(path.read_text()), path, None)
     return sorted(found)
 
 
 def test_only_allowlisted_asserts():
     assert package_asserts() == ALLOWED
+
+
+def test_snapshot_generator_has_no_asserts():
+    """tools/build_fixtures.py re-derives the snapshot; under `python -O` an
+    assert there would check nothing, so its checks are all `require`."""
+    assert package_asserts(sorted(TOOLS.glob("*.py"))) == []

@@ -157,22 +157,18 @@ def test_wrong_rank_complement_is_invariant_error(monkeypatch):
 def test_annihilator_readoff_matches_lattice_sum_route(level):
     """The degree, index_used and r_f read through complement_annihilator
     equal #( Z^n / (line or L_f + saturated complement) ) computed by a lattice
-    sum and quotient_order, and the provider's dual eigenspace equals the
-    per-prime intersection of the kernels of (T_p - a_p)^T."""
+    sum and quotient_order, and the functional behind the space's a_p table
+    is a left eigenvector of every stored T_p (U_p at p | N) on every Manin
+    symbol."""
     from math import gcd
 
     from manincert.heckeforms import (
-        complement_annihilator,
         hecke_algebra,
         hecke_complement_rows,
         isotypic_complement_on_dual,
     )
     from manincert.intlattice import (
-        IntMatrix,
-        Lattice,
-        kernel,
         lattice_from_rows,
-        lattice_intersect,
         lattice_sum,
         quotient_order,
         standard_lattice,
@@ -185,7 +181,7 @@ def test_annihilator_readoff_matches_lattice_sum_route(level):
 
     s = build_space(level)
     alg = hecke_algebra(level)
-    n, g, k = s.cuspidal_basis.rows, alg.genus, s.rank
+    n, g = s.cuspidal_basis.rows, alg.genus
     for f in s.rational_eigenspaces():
         d = modular_degree(s, f)
         square = index(n, f.eigenspace,
@@ -195,17 +191,12 @@ def test_annihilator_readoff_matches_lattice_sum_route(level):
         line = lattice_from_rows(g, [[v // gcd(*x) for v in x]])
         assert congruence_number(level, f) == index(
             g, line, isotypic_complement_on_dual(alg, f))
-        left = None
+        u, start = s._eigen_functionals[s.newform_index(f)]
+        assert u[start]
         for p in sorted(f.ap):
-            shifted = (s.hecke_on_coords(p).transpose()
-                       - IntMatrix.identity(k).scale(f.ap[p]))
-            ker = Lattice(k, kernel(shifted))
-            left = ker if left is None else lattice_intersect(left, ker)
-            if left.rank == 2:
-                break
-        dual = complement_annihilator(
-            hecke_complement_rows(s.hecke_on_coords, f, k - 2), k, 2)
-        assert dual == left.basis
+            images = s._hecke_images(p)
+            assert all(sum(u[i] * c for i, c in images({j: 1}).items()) == f.ap[p] * u[j]
+                       for j in range(s.mu)), p
 
 
 def test_typed_errors_are_invariant_errors():

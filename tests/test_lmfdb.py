@@ -147,10 +147,10 @@ def test_build_fixtures_imports(monkeypatch):
     assert mod.CatalogEntry is CatalogEntry
 
 
-@pytest.mark.parametrize("n", [11, 37, 57])
+@pytest.mark.parametrize("n", [11, 37, 54, 57, 64])
 def test_build_level_reproduces_the_snapshot(monkeypatch, n):
     """The generator rebuilds each class's optimal curve at n from its newform
-    period lattice alone (a_p from the dual eigenvector, no curve): the same
+    period lattice alone (a_p from the space's table, no curve): the same
     minimal model, modular degree and torsion order as the snapshot."""
     mod = _load_build_fixtures(monkeypatch)
     snapshot = {parse_label(e.label)[1]: e for e in fixture_entries().values()

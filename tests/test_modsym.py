@@ -547,6 +547,34 @@ def test_eichler_shimura_consistency():
         assert f.prime_eigenvalue(p) == ap_via_counting(m, p)
 
 
+def test_eigen_ap_table_matches_the_split():
+    """For every newform at levels 1..200 and 530, the space's a_p table
+    equals the split's own a_p at every stored prime, U_p at p | N included.
+    At levels such as 27, 36, 54, 64, 100 and 121, T_l - l - 1 at the least
+    good prime l maps some classes outside the cuspidal lattice, so a table
+    read through that prime instead of l = 1 mod m raises InvariantError."""
+    count = 0
+    for n in [*range(1, 201), 530]:
+        s = build_space(n)
+        for i, f in enumerate(s.rational_eigenspaces()):
+            for p, a in f.ap.items():
+                assert s.eigen_ap(p)[i] == a, (n, i, p)
+                count += n % p > 0
+    assert count == 2704
+
+
+def test_eigen_ap_table_refuses_a_non_integer_ratio():
+    """A functional that is no longer a Hecke eigenvector (its start-symbol
+    value scaled by 7) gives u_f(T_p w)/u_f(w) off the integers, which the
+    table refuses with a typed error instead of rounding."""
+    s = ModSymSpace(37)
+    s.rational_eigenspaces()
+    s.__dict__["_eigen_functionals"] = [(u[:j] + [7 * u[j]] + u[j + 1:], j)
+                                        for u, j in s._eigen_functionals]
+    with pytest.raises(InvariantError, match="non-integer ratio"):
+        s.eigen_ap(101)
+
+
 def test_hecke_preserves_cuspidal_lattice():
     s = build_space(30)
     n = s.cuspidal_basis.rows

@@ -229,10 +229,11 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     """The space builds what the split fixes for a newform once: across two
     dataclasses.replace copies of each newform at 37 and two numeric queries
     there, the Hecke complement on the cuspidal lattice is computed once per
-    newform, so is the dual eigenvector's (on class coordinates), the
-    solve for the period lifts and their gamma-class combinations, and the
-    gamma-class solver once per loop width.  No copy ever carries an a_p
-    source the package set on it."""
+    newform, so is the solve for the period lifts and their gamma-class
+    combinations, and the gamma-class solver once per loop width.  No Hecke
+    complement on class coordinates is built, and a_101 of every copy comes
+    from one T_101 family for the level.  No copy ever carries an a_p source
+    the package set on it."""
     from manincert import intlattice, modsym, periods
     from manincert.cli import main
     from manincert.invariants import modular_degree
@@ -240,8 +241,9 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     monkeypatch.setattr(modsym, "_SPACES", {})
     s = build_space(37)
     calls, coord_calls, loop_widths, lift_solves = [], [], [], []
-    expressed = []
+    expressed, families = [], []
     orig = heckeforms.hecke_complement_rows
+    orig_family = modsym.heilbronn_cremona
     orig_express = periods._express
     orig_hnf = intlattice.hnf_with_transform
     orig_solve = periods.solve_in_rowspace
@@ -263,6 +265,8 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
         return orig_solve(basis, targets, **kw)
 
     monkeypatch.setattr(heckeforms, "hecke_complement_rows", counting)
+    monkeypatch.setattr(modsym, "heilbronn_cremona",
+                        lambda p: families.append(p) or orig_family(p))
     monkeypatch.setattr(intlattice, "hnf_with_transform", counting_hnf)
     monkeypatch.setattr(periods, "solve_in_rowspace", counting_solve)
     monkeypatch.setattr(periods, "_express",
@@ -273,11 +277,12 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     for f in copies:
         assert modular_degree(s, f).degree == 2
         newform_period_lattice(s, f, 1e-9)
-        f.prime_eigenvalue(101)  # past the stored primes: the dual eigenvector
+        f.prime_eigenvalue(101)  # past the stored primes: the space's a_p table
     for label in ("37.a1", "37.b1"):
         assert main(["numeric", "--label", label]) == 0
     assert len(calls) == len(forms) == 2
-    assert len(coord_calls) == len(forms)
+    assert not coord_calls
+    assert families.count(101) == 1
     assert len(lift_solves) == len(forms)
     assert len(expressed) == len(forms)
     assert loop_widths and sorted(loop_widths) == sorted(set(loop_widths))

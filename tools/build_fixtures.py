@@ -34,6 +34,7 @@ from manincert.elliptic import (  # noqa: E402
     two_torsion_rank,
 )
 from manincert.heckeforms import sturm_bound  # noqa: E402
+from manincert.intlattice import require  # noqa: E402
 from manincert.invariants import modular_degree  # noqa: E402
 from manincert.lmfdb import CatalogEntry  # noqa: E402
 from manincert.modsym import build_space  # noqa: E402
@@ -193,8 +194,10 @@ def torsion_order(m: MinimalModel) -> int:
             bound = math.gcd(bound, count_points(m, p))
             if bound == 1:
                 break
-    assert bound % total == 0, (m.ainvs, total, bound)
-    assert total in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12), total
+    require(bound % total == 0,
+            f"torsion order {total} of {m.ainvs} does not divide #E(F_p) gcd {bound}")
+    require(total in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12),
+            f"torsion order {total} of {m.ainvs} is not in Mazur's list")
     return total
 
 
@@ -221,20 +224,22 @@ def build_level(N: int, verbose: bool = True):
         c4f, c6f = lattice_c4c6(lat.omega1, lat.omega2)
         c4, c6 = round(c4f), round(c6f)
         err = max(abs(c4f - c4), abs(c6f - c6))
-        assert err < 0.01, (N, i, err)
+        require(err < 0.01, f"level {N}, newform {i}: c4, c6 are {err} from integers")
         ainvs = _ainvs_from_c4c6(c4, c6)
-        assert ainvs is not None, (N, i, c4, c6)
+        require(ainvs is not None, f"level {N}, newform {i}: no curve with c4, c6 = {c4}, {c6}")
         m = minimal_model(WeierstrassModel.from_ainvs(ainvs))
-        assert m.ainvs == ainvs, (N, i)
+        require(m.ainvs == ainvs, f"level {N}, newform {i}: {ainvs} is not minimal")
         # conductor support and exact Eichler-Shimura verification
         for p in factorize(m.delta_min):
-            assert N % p == 0, (N, m.ainvs, p)
+            require(N % p == 0, f"level {N}: {m.ainvs} has bad reduction at {p}")
         for p in primes_up_to(sturm_bound(N)):
             if m.delta_min % p:
-                assert f.prime_eigenvalue(p) == ap_via_counting(m, p), (N, i, p)
+                require(f.prime_eigenvalue(p) == ap_via_counting(m, p),
+                        f"level {N}, newform {i}: a_{p} disagrees with {m.ainvs}")
         deg = modular_degree(space, f).degree
         tors = torsion_order(m)
-        assert (tors % 2 == 1) == (two_torsion_rank(m) == 0)
+        require((tors % 2 == 1) == (two_torsion_rank(m) == 0),
+                f"level {N}: torsion order {tors} of {m.ainvs} disagrees with its 2-torsion")
         letter = class_letter(i)
         out.append((letter, {
             "ainvs": list(m.ainvs),
