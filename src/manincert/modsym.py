@@ -19,6 +19,7 @@ from math import gcd, isqrt
 from .arith import divisors, factorize, primes_up_to, xgcd
 from .intlattice import (
     IntMatrix,
+    InvariantError,
     Lattice,
     RowSolver,
     hnf,
@@ -156,6 +157,21 @@ def w_matrix(N: int, q: int) -> tuple[int, int, int, int]:
     return (q * x, 1, -N * y, q)
 
 
+def gamma_loops(N: int):
+    """The loops [[a, b], [cN, d]] in Gamma0(N) with c <= 40, as (a, b, cN, d)
+    by increasing c then d; the paths {0, b/d} of all such loops span the
+    cuspidal homology (Cremona, Algorithms for Modular Elliptic Curves, ch. 2)."""
+    for c in range(1, 41):
+        mod = c * N
+        for d in range(1, mod):
+            if gcd(d, mod) == 1:
+                a = pow(d, -1, mod)
+                if a > mod // 2:
+                    a -= mod
+                yield (a, (a * d - 1) // mod, mod, d)
+    raise InvariantError(f"no two independent gamma loops up to c = 40 at level {N}")
+
+
 # ---------------------------------------------------------------------------
 # cusps
 
@@ -250,10 +266,6 @@ class ModSymSpace:
         self._hecke_cusp_cache: dict[int, IntMatrix] = {}
         self._newform_data: dict = {}  # (build, newform index) -> its result
         self._eigen_aps: dict[int, list[int]] = {}  # see eigen_ap
-        self.gamma_loops: list[tuple[int, int, int, int]] = []  # see loop_solver
-        self._loop_classes: list[list[int]] = []
-        self._loop_iter = self._gamma_candidates()
-        self._loop_solvers: dict[int, RowSolver] = {}
 
     # -- presentation ------------------------------------------------------
 
@@ -568,36 +580,6 @@ class ModSymSpace:
         require(sol is not None, "class is not in the cuspidal lattice")
         return sol
 
-    def _gamma_candidates(self):
-        """All loops [[a, b], [cN, d]] in Gamma0(N), by increasing c then d."""
-        c = 1
-        while True:
-            mod = c * self.level
-            for d in range(1, mod):
-                if gcd(d, mod) != 1:
-                    continue
-                x, _, g = xgcd(d, mod)
-                assert g == 1
-                a = x % mod
-                if a > mod // 2:
-                    a -= mod
-                yield (a, (a * d - 1) // mod, mod, d)
-            c += 1
-            require(c <= 40, "gamma loops up to c=40 do not span the target classes")
-
-    def loop_solver(self, width: int) -> RowSolver:
-        """RowSolver on the cuspidal classes of the paths {0, gamma(0)} for the
-        first `width` gamma loops, built once per level and width (Cremona,
-        Algorithms for Modular Elliptic Curves, ch. 2)."""
-        if width not in self._loop_solvers:
-            while len(self.gamma_loops) < width:
-                gam = next(self._loop_iter)
-                self.gamma_loops.append(gam)
-                self._loop_classes.append(
-                    self.to_cuspidal_coords(self.path_class((0, 1), (gam[1], gam[3]))))
-            self._loop_solvers[width] = RowSolver(IntMatrix.from_rows(self._loop_classes[:width]))
-        return self._loop_solvers[width]
-
     def _path_images(self, mats, target: "ModSymSpace"):
         """The map taking a formal sum {symbol: coef} of this space to a formal
         sum of `target`'s symbols: its image under the path map
@@ -802,8 +784,7 @@ class ModSymSpace:
     def newform_data(self, f, build):
         """build(self, g) for the space's own newform g with f's eigenspace,
         computed once per newform and `build`: what the split fixes for a
-        newform (heckeforms.homology_annihilator, periods.period_lifts,
-        periods.period_combos)."""
+        newform (heckeforms.homology_annihilator, periods.period_combos)."""
         key = (build, self.newform_index(f))
         if key not in self._newform_data:
             self._newform_data[key] = build(self, self._newforms[key[1]])

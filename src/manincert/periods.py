@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .heckeforms import RationalNewform, a_list, homology_annihilator
-from .intlattice import IntMatrix, require, solve_in_rowspace
-from .modsym import ModSymSpace
+from .intlattice import require
+from .modsym import ModSymSpace, gamma_loops
 
 
 class ToleranceError(ValueError):
@@ -69,7 +69,8 @@ def _agm(a: float, b: float) -> float:
 
 
 def _real_roots_of_quartic_free_cubic(b2: int, b4: int, b6: int):
-    """Real roots of 4x^3 + b2 x^2 + 2 b4 x + b6, by Cardano."""
+    """Real roots of 4x^3 + b2 x^2 + 2 b4 x + b6, by Cardano, in decreasing
+    order."""
     # normalize: x^3 + p x + q after x -> x - b2/12
     a2 = b2 / 4.0
     a1 = b4 / 2.0
@@ -85,7 +86,7 @@ def _real_roots_of_quartic_free_cubic(b2: int, b4: int, b6: int):
         for k in range(3):
             roots.append(shift + r * math.cos(phi / 3.0 - 2.0 * math.pi * k / 3.0))
         roots.sort(reverse=True)
-        return roots, []
+        return roots
     # one real root
     u = cmath.sqrt(q * q / 4.0 + p**3 / 27.0)
     for cand in (-q / 2.0 + u, -q / 2.0 - u):
@@ -104,14 +105,7 @@ def _real_roots_of_quartic_free_cubic(b2: int, b4: int, b6: int):
         x0 -= step
         if abs(step) < 1e-14 * (1.0 + abs(x0)):
             break
-    # complex pair from the depressed quadratic 4x^2 + (b2+4x0)x + ...
-    # divide: 4x^3+b2x^2+2b4x+b6 = (x - x0)(4x^2 + c1 x + c0)
-    c1 = b2 + 4.0 * x0
-    c0 = 2.0 * b4 + c1 * x0
-    sigma = -c1 / 8.0
-    tau2 = c0 / 4.0 - sigma * sigma
-    tau = math.sqrt(max(tau2, 0.0))
-    return [x0], [complex(sigma, tau), complex(sigma, -tau)]
+    return [x0]
 
 
 def elliptic_period_lattice(m, tol: float) -> PeriodLattice:
@@ -121,18 +115,26 @@ def elliptic_period_lattice(m, tol: float) -> PeriodLattice:
     b2, b4, b6, _ = m.b_invariants()
     b2, b4, b6 = int(b2), int(b4), int(b6)
     if m.delta_min > 0:
-        (e1, e2, e3), _ = _real_roots_of_quartic_free_cubic(b2, b4, b6)
+        e1, e2, e3 = _real_roots_of_quartic_free_cubic(b2, b4, b6)
         om_re = math.pi / _agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2))
         om_im = math.pi / _agm(math.sqrt(e1 - e3), math.sqrt(e2 - e3))
         lat = PeriodLattice(complex(om_re, 0.0), complex(0.0, om_im),
                             "rectangular", tol)
     else:
-        (e1,), (z, _) = _real_roots_of_quartic_free_cubic(b2, b4, b6)
-        sigma, tau = z.real, abs(z.imag)
-        c = e1 - sigma
-        big_a = math.hypot(c, tau)
-        om_re = math.pi / _agm(math.sqrt(big_a), math.sqrt((big_a + c) / 2.0))
-        om_im = math.pi / _agm(math.sqrt(big_a), math.sqrt((big_a - c) / 2.0))
+        # e2, e3 = sigma +- i tau; A^2 = (e1 - e2)(e1 - e3) = c^2 + tau^2 with
+        # c = e1 - sigma, and Delta = -64 A^4 tau^2 gives tau^2 exactly, so
+        # whichever of A +- c cancels is taken as tau^2 / (A -+ c)
+        e1, = _real_roots_of_quartic_free_cubic(b2, b4, b6)
+        a2 = ((12.0 * e1 + 2.0 * b2) * e1 + 2.0 * b4) / 4.0
+        big_a, c = math.sqrt(a2), (3.0 * e1 + b2 / 4.0) / 2.0
+        tau2 = -m.delta_min / (64.0 * a2 * a2)
+        plus, minus = big_a + c, big_a - c
+        if c > 0:
+            minus = tau2 / plus
+        else:
+            plus = tau2 / minus
+        om_re = math.pi / _agm(math.sqrt(big_a), math.sqrt(plus / 2.0))
+        om_im = math.pi / _agm(math.sqrt(big_a), math.sqrt(minus / 2.0))
         lat = PeriodLattice(complex(om_re, 0.0),
                             complex(om_re / 2.0, om_im / 2.0),
                             "non-rectangular", tol)
@@ -275,26 +277,23 @@ class NewformPeriods:
 
     # -- gamma loops ----------------------------------------------------------
 
-    def _gamma_period(self, i: int, tol: float) -> complex:
-        a, b, mod, d = self.space.gamma_loops[i]
+    def _gamma_period(self, loop: tuple[int, int, int, int], tol: float) -> complex:
+        a, b, mod, d = loop
         y = 1.0
         z0 = complex(-d / mod, y / mod)
         gz0 = complex(a / mod, 1.0 / (y * mod))
         return self._s_value(gz0, tol / 2) - self._s_value(z0, tol / 2)
 
-    def periods_of_rows(self, rows: list[list[int]], tol: float):
-        """Periods of cuspidal-coordinate rows, certified to tol each."""
-        return self.periods_of_combos(_express(self.space, rows), tol)
-
-    def periods_of_combos(self, combos: list[tuple[float, list[tuple[int, float]]]], tol: float):
-        """Periods of combinations of gamma classes (as _express gives them),
-        certified to tol each."""
+    def periods_of_combos(self, combos, tol: float):
+        """Periods of combinations of gamma loops, each given as
+        (2 * sum |q|, [(loop, q)]) with float q (period_combos), certified to
+        tol each."""
         check_tolerance(tol)
         out = []
         for weight, terms in combos:
             acc = 0j
-            for j, q in terms:
-                acc += q * self._gamma_period(j, tol / weight)
+            for loop, q in terms:
+                acc += q * self._gamma_period(loop, tol / weight)
             out.append(acc)
         return out
 
@@ -311,35 +310,24 @@ def newform_period_lattice(space: ModSymSpace, f: RationalNewform,
     return _canonicalize(w1, w2, tol)
 
 
-def period_lifts(space: ModSymSpace, f: RationalNewform) -> IntMatrix:
-    """Cuspidal rows that f's homology annihilator maps onto the unit vectors
-    of Z^2, built once per newform by the space (ModSymSpace.newform_data)."""
-    quot = space.newform_data(f, homology_annihilator)
-    lifts = solve_in_rowspace(quot.transpose(), IntMatrix.identity(2), integral=True)
-    require(lifts is not None, "quotient coordinate map is not surjective")
-    return lifts
-
-
 def period_combos(space: ModSymSpace, f: RationalNewform):
-    """The gamma-class combinations of f's two period_lifts rows, built once
-    per newform by the space (ModSymSpace.newform_data)."""
-    return _express(space, space.newform_data(f, period_lifts).tolists())
+    """f's periods phi(e1), phi(e2) as combinations of two gamma loops, built
+    once per newform by the space (ModSymSpace.newform_data).
 
-
-def _express(space: ModSymSpace, rows: list[list[int]]):
-    """Rational combinations of gamma classes giving the target rows, each as
-    (2 * sum |q|, [(j, float(q)) for the nonzero q]); a zero row has weight 2.
-
-    Every call tries the widths 2g+6, 2g+6+max(8, g), ... in that order,
-    each through the level's one solver for it."""
-    want = 2 * space.genus + 6
-    while True:
-        solver = space.loop_solver(want)
-        combos = [solver.solve(row, integral=False) for row in rows]
-        if None not in combos:
-            return [(float(2 * (sum(map(abs, c)) or 1)),
-                     [(j, float(q)) for j, q in enumerate(c) if q]) for c in combos]
-        want += max(8, space.genus)
+    The period map of f kills f's Hecke complement, so it factors as phi . K
+    through f's homology annihilator K, which maps the cuspidal lattice onto
+    Z^2; the lattice is then Z phi(e1) + Z phi(e2).  The first loop whose
+    class K maps to k1 != 0 and the first later one whose k2 is independent
+    of k1 give (phi(e1), phi(e2)) = (P1, P2) [k1 k2]^-1 from their periods."""
+    quot = space.newform_data(f, homology_annihilator)
+    classes = ((loop, quot.matvec(space.to_cuspidal_coords(
+        space.path_class((0, 1), (loop[1], loop[3]))))) for loop in gamma_loops(space.level))
+    l1, (a, c) = next((loop, k) for loop, k in classes if any(k))
+    l2, (b, d) = next((loop, k) for loop, k in classes if a * k[1] - c * k[0])
+    det = a * d - b * c
+    rows = ([(l1, d / det), (l2, -c / det)], [(l1, -b / det), (l2, a / det)])
+    return [(2.0 * sum(abs(q) for _, q in terms), [(l, q) for l, q in terms if q])
+            for terms in rows]
 
 
 def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
@@ -376,18 +364,27 @@ def _canonicalize(w1: complex, w2: complex, tol: float) -> PeriodLattice:
     return PeriodLattice(best_re, best_im, kind, tol)
 
 
-def manin_constant_numeric(lat_e: PeriodLattice, lat_f: PeriodLattice,
-                           tol: float):
-    """|c| with Lambda_f = c * Lambda_E, asserted to be a nonzero integer.
-    Both are canonical, so c maps omega1 to omega1 and omega2 to omega2 modulo
-    omega1 (rounding may put Re omega2 at either end of [0, omega1))."""
-    check_tolerance(tol)
+def basis_ratio_spread(lat_e: PeriodLattice, lat_f: PeriodLattice) -> tuple[float, float]:
+    """(c, spread): c = omega1_f / omega1_E, and how far the two basis ratios
+    lie from c.  Both lattices are canonical, so c maps omega1 to omega1 and
+    omega2 to omega2 modulo omega1 (rounding may put Re omega2 at either end
+    of [0, omega1))."""
     c = lat_f.omega1.real / lat_e.omega1.real
     k = round((lat_f.omega2 - c * lat_e.omega2).real / lat_f.omega1.real)
     c1, c2 = lat_f.omega1 / lat_e.omega1, (lat_f.omega2 - k * lat_f.omega1) / lat_e.omega2
-    if max(abs(c1 - c), abs(c2 - c)) > 1e4 * tol * max(1.0, c):
+    return c, max(abs(c1 - c), abs(c2 - c))
+
+
+def manin_constant_numeric(lat_e: PeriodLattice, lat_f: PeriodLattice,
+                           tol: float):
+    """|c| with Lambda_f = c * Lambda_E, asserted to be a nonzero integer.
+    The basis ratios may spread by 1e3 times the lattices' precision, floored
+    at double precision's 1e-13 (the spread at 170.a2 at every tol <= 1e-12)."""
+    check_tolerance(tol)
+    c, spread = basis_ratio_spread(lat_e, lat_f)
+    if spread > 1e3 * max(lat_e.precision, lat_f.precision, 1e-13) * max(1.0, c):
         raise InconsistencyError(
-            f"lattices are not homothetic: basis ratios {c1}, {c2}"
+            f"lattices are not homothetic: basis ratios spread {spread:.3g} about {c}"
         )
     nearest = round(c)
     resid = abs(c - nearest)

@@ -15,7 +15,6 @@ ALLOWED = sorted([
     # xgcd of coprime arguments returns gcd 1
     ("modsym.py", "lift_to_sl2", "g == 1"),
     ("modsym.py", "w_matrix", "g == 1"),
-    ("modsym.py", "_gamma_candidates", "g == 1"),
     # det w_q = q, from q x + (N/q) y = 1 just above
     ("modsym.py", "w_matrix",
      "q * x * q - 1 * (-N * y) == q * (q * x + N // q * y) == q"),

@@ -3,7 +3,9 @@
 
 The certificates under tests/golden/ were recorded from the CLI before the
 sparse Manin-symbol layer, the numeric outputs (numeric_<label>.json)
-before the table-driven point counts and the fraction-free rational solve,
+before the table-driven point counts and the fraction-free rational solve
+(the residuals of 37.a1, 54.b1 and 66.c1 again when the newform periods came
+from two gamma loops and the AGM's non-rectangular branch stopped cancelling),
 the census outputs (census_<bound>.json) before the census was staged
 on the certificate criteria, and the analyze outputs (analyze_<level>.json)
 before good-prime Hecke images moved from Merel's set to Cremona's

@@ -20,7 +20,7 @@ from manincert.lmfdb import (
     record_from_entry,
 )
 
-BUILD_FIXTURES = Path(__file__).resolve().parent.parent / "tools" / "build_fixtures.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def test_parse_label():
@@ -132,9 +132,9 @@ def test_entry_json_roundtrip():
         assert CatalogEntry.from_json(e.to_json()) == e, e.label
 
 
-def _load_build_fixtures(monkeypatch):
+def _load_tool(monkeypatch, name="build_fixtures"):
     monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("build_fixtures", BUILD_FIXTURES)
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -142,9 +142,16 @@ def _load_build_fixtures(monkeypatch):
 
 def test_build_fixtures_imports(monkeypatch):
     """The snapshot generator's imports resolve; main() is not run."""
-    mod = _load_build_fixtures(monkeypatch)
+    mod = _load_tool(monkeypatch)
     assert callable(mod.main)
     assert mod.CatalogEntry is CatalogEntry
+
+
+def test_numeric_sweep_imports(monkeypatch):
+    """The numeric sweep's imports resolve; main() is not run."""
+    mod = _load_tool(monkeypatch, "numeric_sweep")
+    assert callable(mod.main)
+    assert mod.TOLERANCES[0] == 2.0 ** -52 and len(mod.TOLERANCES) == 12
 
 
 @pytest.mark.parametrize("n", [11, 37, 54, 57, 64])
@@ -152,7 +159,7 @@ def test_build_level_reproduces_the_snapshot(monkeypatch, n):
     """The generator rebuilds each class's optimal curve at n from its newform
     period lattice alone (a_p from the space's table, no curve): the same
     minimal model, modular degree and torsion order as the snapshot."""
-    mod = _load_build_fixtures(monkeypatch)
+    mod = _load_tool(monkeypatch)
     snapshot = {parse_label(e.label)[1]: e for e in fixture_entries().values()
                 if e.conductor == n and e.optimality_flag}
     built = dict(mod.build_level(n, verbose=False))

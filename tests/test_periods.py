@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from manincert import heckeforms
+from manincert import heckeforms, modsym
 from manincert.elliptic import curve_ap_provider, minimal_model_from_ainvs
+from manincert.intlattice import IntMatrix, RowSolver, solve_in_rowspace
 from manincert.modsym import build_space
 from manincert.periods import (
     ConvergenceError,
@@ -17,11 +18,36 @@ from manincert.periods import (
     manin_constant_numeric,
     newform_period_lattice,
     period_combos,
-    period_lifts,
 )
 from manincert import periods
 
 E11 = (0, -1, 1, -10, -20)
+
+
+def reference_periods(s, f, rows, tol):
+    """Periods of cuspidal-coordinate rows by the general-row route: each row
+    as a rational combination of the classes of the first 2g + 6,
+    2g + 6 + max(8, g), ... gamma loops, one RowSolver per width."""
+    loops, taken, classes = modsym.gamma_loops(s.level), [], []
+    want = 2 * s.genus + 6
+    while True:
+        while len(taken) < want:
+            taken.append(next(loops))
+            classes.append(s.to_cuspidal_coords(s.path_class((0, 1), (taken[-1][1], taken[-1][3]))))
+        solver = RowSolver(IntMatrix.from_rows(classes))
+        combos = [solver.solve(row, integral=False) for row in rows]
+        if None not in combos:
+            break
+        want += max(8, s.genus)
+    combos = [(float(2 * (sum(map(abs, c)) or 1)),
+               [(loop, float(q)) for loop, q in zip(taken, c) if q]) for c in combos]
+    return NewformPeriods(s, f).periods_of_combos(combos, tol)
+
+
+def annihilator_lifts(s, f):
+    """Cuspidal rows that f's homology annihilator maps onto e1 and e2."""
+    quot = s.newform_data(f, heckeforms.homology_annihilator)
+    return solve_in_rowspace(quot.transpose(), IntMatrix.identity(2), integral=True).tolists()
 
 
 def matched_newform(n, ainvs):
@@ -93,6 +119,27 @@ def test_rebased_lattice_is_refused(n, ainvs):
             manin_constant_numeric(*pair, 1e-6)
 
 
+@pytest.mark.parametrize("label", ["11.a2", "37.a1", "116.a1"])
+def test_homothety_bound_follows_the_lattice_precision(label):
+    """At tol 1e-8 (compared at numeric's floor 1e-6) a newform lattice with
+    omega2 scaled by 1 + 1e-4 is refused: the basis ratios may spread by 1e3
+    times the lattices' precision, which the AGM lattice now meets."""
+    from manincert.elliptic import match_curve_to_newform
+    from manincert.lmfdb import Catalog, record_from_entry
+
+    rec = record_from_entry(Catalog().fetch_curve(label))
+    s = build_space(rec.conductor)
+    f = dataclasses.replace(match_curve_to_newform(rec.model, rec.conductor,
+                                                   s.rational_eigenspaces()),
+                            _ap_provider=curve_ap_provider(rec.model))
+    lat_e = elliptic_period_lattice(rec.model, 1e-8)
+    lat_f = newform_period_lattice(s, f, 1e-8)
+    assert manin_constant_numeric(lat_e, lat_f, 1e-6)[0] == 1
+    scaled = dataclasses.replace(lat_f, omega2=lat_f.omega2 * (1 + 1e-4))
+    with pytest.raises(InconsistencyError, match="not homothetic"):
+        manin_constant_numeric(lat_e, scaled, 1e-6)
+
+
 def test_numeric_canonicalizes_once_and_keeps_float_combos(monkeypatch):
     """One numeric query canonicalizes one lattice (the newform's; the AGM
     builds the elliptic one canonical), and the newform's gamma-class
@@ -126,7 +173,7 @@ def test_periods_of_rows_refuses_zero_tolerance():
     """A zero tolerance is refused, not replaced by another one."""
     s, f, _ = matched_newform(11, E11)
     with pytest.raises(ToleranceError):
-        NewformPeriods(s, f).periods_of_rows([[1, 0]], 0.0)
+        NewformPeriods(s, f).periods_of_combos(s.newform_data(f, period_combos), 0.0)
 
 
 def test_newform_lattice_matches_neron_11():
@@ -148,31 +195,33 @@ def test_newform_lattice_matches_neron_37():
 def test_doubling_terms_convergence_certificate():
     """Doubling the series length moves each period by less than tol."""
     s, f, _ = matched_newform(11, E11)
-    calc = NewformPeriods(s, f)
-    rows = [list(r) for r in s.cuspidal_basis.entries][:1]
-    base = calc.periods_of_rows([[1, 0], [0, 1]], 1e-9)
-    finer = calc.periods_of_rows([[1, 0], [0, 1]], 1e-12)
+    base = reference_periods(s, f, [[1, 0], [0, 1]], 1e-9)
+    finer = reference_periods(s, f, [[1, 0], [0, 1]], 1e-12)
     for x, y in zip(base, finer):
         assert abs(x - y) < 1e-9
 
 
 def test_periods_invariant_under_rebasing():
     s, f, _ = matched_newform(11, E11)
-    calc = NewformPeriods(s, f)
-    p1, p2 = calc.periods_of_rows([[1, 0], [0, 1]], 1e-10)
-    q1, q2 = calc.periods_of_rows([[1, 1], [2, 1]], 1e-10)
+    p1, p2 = reference_periods(s, f, [[1, 0], [0, 1]], 1e-10)
+    q1, q2 = reference_periods(s, f, [[1, 1], [2, 1]], 1e-10)
     assert abs(q1 - (p1 + p2)) < 1e-9
     assert abs(q2 - (2 * p1 + p2)) < 1e-9
 
 
 def test_period_combos_give_the_period_lifts_periods():
-    """The gamma-class combinations the space keeps per newform give, float
-    for float, the periods that periods_of_rows finds for the period lifts."""
-    s, f, _ = matched_newform(11, E11)
-    combos = s.newform_data(f, period_combos)
-    rows = s.newform_data(f, period_lifts).tolists()
-    assert NewformPeriods(s, f).periods_of_combos(combos, 1e-10) == \
-        NewformPeriods(s, f).periods_of_rows(rows, 1e-10)
+    """At every newform of 11, 37, 54, 99, 102 and 120, the two-loop
+    phi(e1), phi(e2) of period_combos agree within 1e-9 relative with the
+    general-row periods of the rows that the homology annihilator maps onto
+    e1 and e2."""
+    for n in (11, 37, 54, 99, 102, 120):
+        s = build_space(n)
+        for f in s.rational_eigenspaces():
+            combos = s.newform_data(f, period_combos)
+            two_loop = NewformPeriods(s, f).periods_of_combos(combos, 1e-11)
+            reference = reference_periods(s, f, annihilator_lifts(s, f), 1e-11)
+            for x, y in zip(two_loop, reference):
+                assert abs(x - y) <= 1e-9 * abs(y)
 
 
 def test_q_series_weights_built_once_per_prefix(monkeypatch):
@@ -201,8 +250,7 @@ def test_covolume_ratio_is_degree_squared():
         s, f, m = matched_newform(n, ainvs)
         deg = modular_degree(s, f).degree
         lat_f = newform_period_lattice(s, f, 1e-10)
-        calc = NewformPeriods(s, f)
-        w1, w2 = calc.periods_of_rows(f.eigenspace.basis.tolists(), 1e-10)
+        w1, w2 = reference_periods(s, f, f.eigenspace.basis.tolists(), 1e-10)
         cov_sub = abs((w1.conjugate() * w2).imag)
         ratio = cov_sub / lat_f.covolume()
         assert abs(ratio - deg ** 2) < 1e-4 * deg ** 2
@@ -229,8 +277,8 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     """The space builds what the split fixes for a newform once: across two
     dataclasses.replace copies of each newform at 37 and two numeric queries
     there, the Hecke complement on the cuspidal lattice is computed once per
-    newform, so is the solve for the period lifts and their gamma-class
-    combinations, and the gamma-class solver once per loop width.  No Hecke
+    newform, and so are its period combinations, which name at most two
+    gamma loops; no RowSolver over gamma classes is built.  No Hecke
     complement on class coordinates is built, and a_101 of every copy comes
     from one T_101 family for the level.  No copy ever carries an a_p source
     the package set on it."""
@@ -240,37 +288,28 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
 
     monkeypatch.setattr(modsym, "_SPACES", {})
     s = build_space(37)
-    calls, coord_calls, loop_widths, lift_solves = [], [], [], []
-    expressed, families = [], []
+    calls, coord_calls, loop_bases, combos, families = [], [], [], [], []
     orig = heckeforms.hecke_complement_rows
     orig_family = modsym.heilbronn_cremona
-    orig_express = periods._express
+    orig_combos = periods.period_combos
     orig_hnf = intlattice.hnf_with_transform
-    orig_solve = periods.solve_in_rowspace
 
     def counting(*args):
         (calls if args[0] == s.hecke_on_cuspidal else coord_calls).append(args[1])
         return orig(*args)
 
     def counting_hnf(m):
-        # the gamma-class bases: 2g columns, at least 2g + 6 rows
+        # a solver over gamma classes: 2g columns, at least 2g + 6 rows
         n2g = s.cuspidal_basis.rows
-        if m.cols == n2g and m.rows >= n2g + 6:
-            loop_widths.append(m.rows)
+        loop_bases.extend([m] if m.cols == n2g and m.rows >= n2g + 6 else [])
         return orig_hnf(m)
-
-    def counting_solve(basis, targets, **kw):
-        # the lifts: the annihilator's transpose, 2 columns, against I_2
-        lift_solves.extend([basis] if basis.cols == 2 else [])
-        return orig_solve(basis, targets, **kw)
 
     monkeypatch.setattr(heckeforms, "hecke_complement_rows", counting)
     monkeypatch.setattr(modsym, "heilbronn_cremona",
                         lambda p: families.append(p) or orig_family(p))
     monkeypatch.setattr(intlattice, "hnf_with_transform", counting_hnf)
-    monkeypatch.setattr(periods, "solve_in_rowspace", counting_solve)
-    monkeypatch.setattr(periods, "_express",
-                        lambda *args: expressed.append(args) or orig_express(*args))
+    monkeypatch.setattr(periods, "period_combos",
+                        lambda *args: combos.append(orig_combos(*args)) or combos[-1])
     forms = s.rational_eigenspaces()
     copies = [dataclasses.replace(g, ap=dict(g.ap), _an=dict(g._an))
               for _ in range(2) for g in forms]
@@ -283,9 +322,9 @@ def test_homology_complement_computed_once_per_newform(monkeypatch):
     assert len(calls) == len(forms) == 2
     assert not coord_calls
     assert families.count(101) == 1
-    assert len(lift_solves) == len(forms)
-    assert len(expressed) == len(forms)
-    assert loop_widths and sorted(loop_widths) == sorted(set(loop_widths))
+    assert len(combos) == len(forms)
+    assert all(len({loop for _, terms in c for loop, _ in terms}) <= 2 for c in combos)
+    assert not loop_bases
     assert all(f._ap_provider is None for f in copies + s.rational_eigenspaces())
 
 
